@@ -156,8 +156,7 @@ class UpperTriangularPositive:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionError(f"expected a square matrix, got shape {a.shape}")
         dim = a.shape[0]
-        lower = a[np.tril_indices(dim, k=-1)]
-        if lower.size and np.max(np.abs(lower)) > lower_atol:
+        if max_abs(np.tril(a, -1)) > lower_atol:
             raise DomainError("strict lower triangle is not zero")
         rows, cols, _ = _triangle_layout(dim)
         return cls(dim=dim, packed=a[rows, cols])

@@ -58,7 +58,7 @@ def conditioned_injective(
     number is close to ``condition``.
 
     Orthogonal factors come from LAPACK QR of Gaussian draws, independent of
-    this package's own sweeps, so tests that target a conditioning regime do
+    this package's own sweep, so tests that target a conditioning regime do
     not depend on the code under test.
     """
     if condition < 1.0:

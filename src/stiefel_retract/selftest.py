@@ -40,6 +40,7 @@ from .equivariance import (
 )
 from .gram_schmidt import (
     Variant,
+    _inductive_coefficients,
     coefficient_matrix,
     householder_qr_oracle,
     orthonormalize,
@@ -227,7 +228,12 @@ def check_equivariance_suite(ctx: _Context):
 
 def check_hand_case(ctx: _Context):
     alpha = validate_injective(np.array([[2.0, 1.0], [0.0, 3.0]]))
-    res = orthonormalize(alpha, debug=True)
+    res = orthonormalize(alpha)
+    replay = max_abs(
+        _inductive_coefficients(alpha.matrix) - res.coefficient_matrix.to_dense()
+    )
+    if not replay <= 1e-8:
+        return False, f"inductive coefficient replay disagrees by {replay:.3e} (tol 1e-8)"
     coeff_expected = np.array([[0.5, -1.0 / 6.0], [0.0, 1.0 / 3.0]])
     gaps = [
         max_abs(res.frame.matrix - np.eye(2)),

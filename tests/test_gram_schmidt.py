@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stiefel_retract import (
     DimensionError,
@@ -12,6 +14,7 @@ from stiefel_retract import (
     orthonormalize,
     qr_decompose,
     retract,
+    trace_path,
     validate_injective,
 )
 from stiefel_retract.core import max_abs, orthonormality_defect
@@ -41,7 +44,8 @@ class TestOrthonormalize:
 
     def test_hand_case(self, variant):
         alpha = validate_injective(HAND_INPUT)
-        res = orthonormalize(alpha, variant, debug=True)
+        res = orthonormalize(alpha, variant)
+        assert max_abs(_inductive_coefficients(HAND_INPUT) - res.coefficient_matrix.to_dense()) <= 1e-8
         assert max_abs(res.frame.matrix - np.eye(2)) <= 1e-14
         assert max_abs(res.coefficient_matrix.to_dense() - HAND_COEFF) <= 1e-14
         # reconstruction: input @ coefficients lands on the frame
@@ -100,6 +104,13 @@ class TestOrthonormalize:
             replay = _inductive_coefficients(alpha.matrix)
             assert max_abs(replay - res.coefficient_matrix.to_dense()) <= 1e-8
 
+    def test_orthonormal_to_working_precision_near_guarantee_boundary(self):
+        rng = np.random.default_rng(20)
+        for _ in range(50):
+            m, d = random_dims(rng, 64)
+            alpha = conditioned_injective(rng, m, d, 9e5)
+            assert orthonormality_defect(orthonormalize(alpha).frame.matrix) <= 1e-14
+
     def test_rank_collapse_raises(self):
         # Passes a loose validation but collapses at the sweep's tolerance.
         raw = np.array([[1.0, 1.0], [0.0, 1e-12]])
@@ -151,6 +162,36 @@ class TestRetract:
             t = UpperTriangularPositive.from_dense(dense)
             scaled = validate_injective(alpha.matrix @ t.to_dense())
             assert max_abs(retract(scaled).matrix - retract(alpha).matrix) <= 1e-9
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    common=st.integers(-1000, 1000),
+    spread=st.lists(st.integers(-8, 8), min_size=8, max_size=8),
+)
+def test_power_of_two_column_scaling_is_exact(seed, common, spread):
+    # Scaling column j by 2**k_j leaves the frame unchanged, scales row j of
+    # the coefficient matrix by 2**-k_j and column j of R by 2**k_j; all of
+    # it is exact while every entry stays a normal float. Near the ends of
+    # the range the defects of intermediate path samples overflow to inf.
+    rng = np.random.default_rng(seed)
+    m, d = random_dims(rng, 8)
+    exps = np.clip(common + np.array(spread[:d]), -1000, 1000)
+    scale = np.ldexp(1.0, exps)
+    alpha, _ = generate_injective(rng, m, d, max_condition=1e4)
+    square, _ = generate_injective(rng, d, d, max_condition=1e4)
+    scaled = validate_injective(alpha.matrix * scale)
+    assert np.array_equal(retract(scaled).matrix, retract(alpha).matrix)
+    assert np.array_equal(
+        coefficient_matrix(scaled).to_dense(),
+        coefficient_matrix(alpha).to_dense() / scale[:, None],
+    )
+    _, r = qr_decompose(square)
+    _, r_scaled = qr_decompose(validate_injective(square.matrix * scale))
+    assert np.array_equal(r_scaled.to_dense(), r.to_dense() * scale)
+    trace_path(scaled, 5)
 
 
 class TestCoefficientMatrix:
