@@ -50,7 +50,6 @@ from .gram_schmidt import (
 from .homotopy import (
     HomotopyPath,
     PathSample,
-    Spacing,
     homotopy_step,
     interpolant,
     sphere_interpolant,
@@ -77,7 +76,6 @@ __all__ = [
     "PathSample",
     "RankDeficientError",
     "Rotation",
-    "Spacing",
     "StiefelFrame",
     "StiefelRetractError",
     "UpperTriangularPositive",

@@ -13,16 +13,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import selftest as selftest_mod
-from .core import orthonormality_defect, validate_injective
+from .core import InjectiveMap, orthonormality_defect, validate_injective
 from .equivariance import (
     DEFAULT_T_SAMPLES,
     check_equivariance,
@@ -54,21 +51,6 @@ EXIT_PROPERTY = 1
 EXIT_PARSE = 2
 EXIT_RANK = 3
 EXIT_SHAPE = 4
-
-THREADS_ENV = "STIEFEL_RETRACT_THREADS"
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    input_path: str | None = None
-    output_path: str | None = None
-    format: str = "json"
-    seed: int | None = None
-    steps: int = 11
-    tolerance: float = 1e-9
-    dims: tuple[int, int] | None = None
-    batch: int = 1
 
 
 def _parse_dims(text: str) -> tuple[int, int]:
@@ -112,47 +94,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_config(argv) -> RunConfig:
+def parse_config(argv) -> argparse.Namespace:
     parser = build_parser()
     ns = parser.parse_args(argv)
-    cfg = RunConfig(subcommand=ns.subcommand)
-    for field in ("input_path", "output_path", "format", "seed", "steps", "tolerance", "dims", "batch"):
-        if hasattr(ns, field):
-            value = getattr(ns, field)
-            if value is not None:
-                setattr(cfg, field, value)
-    if cfg.subcommand in ("retract", "path", "qr", "check"):
-        if (cfg.input_path is None) == (cfg.dims is None):
+    if ns.subcommand != "selftest":
+        if (ns.input_path is None) == (ns.dims is None):
             parser.error("provide exactly one of --input and --dims")
-        if cfg.dims is not None and cfg.seed is None:
+        if ns.dims is not None and ns.seed is None:
             parser.error("--seed is required when generating from --dims")
-    if cfg.steps < 2:
-        parser.error("--steps must be at least 2")
-    if cfg.tolerance <= 0.0:
-        parser.error("--tolerance must be positive")
-    if cfg.batch < 1:
-        parser.error("--batch must be at least 1")
-    return cfg
+        if ns.subcommand == "path" and ns.steps < 2:
+            parser.error("--steps must be at least 2")
+        if ns.tolerance <= 0.0:
+            parser.error("--tolerance must be positive")
+        if ns.subcommand == "check" and ns.batch < 1:
+            parser.error("--batch must be at least 1")
+    return ns
 
 
-def _max_workers() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
-def _load_matrix(cfg: RunConfig) -> np.ndarray:
+def _load_matrix(cfg: argparse.Namespace) -> np.ndarray:
     text = Path(cfg.input_path).read_text()
     if cfg.format == "json":
         return parse_matrix_json(text)
     return parse_matrix_csv(text)
 
 
-def _obtain_input(cfg: RunConfig) -> np.ndarray:
+def _obtain_input(cfg: argparse.Namespace) -> np.ndarray:
     if cfg.input_path is not None:
         return _load_matrix(cfg)
     m, d = cfg.dims
@@ -163,14 +129,14 @@ def _obtain_input(cfg: RunConfig) -> np.ndarray:
     return alpha.matrix
 
 
-def _write_output(cfg: RunConfig, text: str) -> None:
+def _write_output(cfg: argparse.Namespace, text: str) -> None:
     if cfg.output_path:
         Path(cfg.output_path).write_text(text)
     else:
         sys.stdout.write(text)
 
 
-def cmd_retract(cfg: RunConfig) -> int:
+def cmd_retract(cfg: argparse.Namespace) -> int:
     alpha = validate_injective(_obtain_input(cfg))
     frame = retract(alpha)
     diagnostics = {
@@ -186,7 +152,7 @@ def cmd_retract(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_path(cfg: RunConfig) -> int:
+def cmd_path(cfg: argparse.Namespace) -> int:
     alpha = validate_injective(_obtain_input(cfg))
     path = trace_path(alpha, cfg.steps)
     if cfg.format == "json":
@@ -196,7 +162,7 @@ def cmd_path(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_qr(cfg: RunConfig) -> int:
+def cmd_qr(cfg: argparse.Namespace) -> int:
     raw = _obtain_input(cfg)
     if raw.shape[0] != raw.shape[1]:
         raise DimensionError("qr requires a square matrix")
@@ -218,27 +184,20 @@ def cmd_qr(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _check_item(cfg: RunConfig, index: int, fixed: np.ndarray | None):
+def _check_item(cfg: argparse.Namespace, index: int, fixed: InjectiveMap | None):
     seed = (cfg.seed or 0) + index
     rng = np.random.default_rng(seed)
-    if fixed is None:
-        m, d = cfg.dims
-        alpha, _ = generate_injective(rng, m, d)
-    else:
-        alpha = validate_injective(fixed)
+    alpha = fixed
+    if alpha is None:
+        alpha, _ = generate_injective(rng, *cfg.dims)
     rotation_seed = int(rng.integers(0, 2**63))
     o = random_rotation(alpha.matrix.shape[0], rotation_seed)
     return check_equivariance(alpha, o, DEFAULT_T_SAMPLES, cfg.tolerance)
 
 
-def cmd_check(cfg: RunConfig) -> int:
-    fixed = _load_matrix(cfg) if cfg.input_path is not None else None
-    indices = range(cfg.batch)
-    if cfg.batch > 1 and _max_workers() > 1:
-        with ThreadPoolExecutor(max_workers=min(_max_workers(), cfg.batch)) as pool:
-            reports = list(pool.map(lambda i: _check_item(cfg, i, fixed), indices))
-    else:
-        reports = [_check_item(cfg, i, fixed) for i in indices]
+def cmd_check(cfg: argparse.Namespace) -> int:
+    fixed = validate_injective(_load_matrix(cfg)) if cfg.input_path is not None else None
+    reports = [_check_item(cfg, i, fixed) for i in range(cfg.batch)]
     lines = [json.dumps(report_to_json_obj(rep)) for rep in reports]
     _write_output(cfg, "\n".join(lines) + "\n")
     passed = sum(rep.passed for rep in reports)
@@ -246,7 +205,7 @@ def cmd_check(cfg: RunConfig) -> int:
     return EXIT_OK if passed == len(reports) else EXIT_PROPERTY
 
 
-def cmd_selftest(cfg: RunConfig) -> int:
+def cmd_selftest(cfg: argparse.Namespace) -> int:
     seed = cfg.seed if cfg.seed is not None else selftest_mod.DEFAULT_SEED
     results = selftest_mod.run_all(seed)
     print(selftest_mod.format_table(results))

@@ -9,7 +9,6 @@ at t = 1 it lands on the Gram-Schmidt frame.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,10 +32,6 @@ from .errors import (
 )
 from .gram_schmidt import coefficient_matrix
 from .matio import matrix_from_object, matrix_to_object, MatrixFormatError
-
-
-class Spacing(enum.Enum):
-    UNIFORM = "uniform"
 
 
 @dataclass(frozen=True)
@@ -139,7 +134,6 @@ def sphere_interpolant(v, t: float, tol_rank: float = DEFAULT_TOL_RANK) -> np.nd
 def trace_path(
     alpha: InjectiveMap,
     n: int,
-    spacing: Spacing = Spacing.UNIFORM,
     tol_rank: float = DEFAULT_TOL_RANK,
     tol_ortho: float = DEFAULT_TOL_ORTHO,
 ) -> HomotopyPath:
@@ -153,8 +147,6 @@ def trace_path(
     """
     if n < 2:
         raise DomainError(f"need at least 2 samples, got {n}")
-    if spacing is not Spacing.UNIFORM:
-        raise DomainError(f"unsupported spacing {spacing!r}")
     coeff = coefficient_matrix(alpha, tol_rank)
     diag = coeff.diagonal()
     samples = []

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import io
 import json
-import os
 import tempfile
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from pathlib import Path
@@ -418,26 +416,10 @@ def check_interpolant_invariance(ctx: _Context):
 
 
 def check_haar_moment(ctx: _Context):
-    # Per-sample seeds (base + index) keep the result identical however the
-    # samples are scheduled; entries are reduced in index order.
     rng = ctx.rng("haar")
     base = int(rng.integers(0, 2**32))
     count = 10_000
-    entries = np.empty(count)
-
-    def fill(block: range) -> None:
-        for i in block:
-            entries[i] = random_rotation(4, base + i).matrix[0, 0]
-
-    from .cli import THREADS_ENV, _max_workers
-
-    workers = min(_max_workers(), 8) if os.environ.get(THREADS_ENV) else 1
-    if workers > 1:
-        blocks = [range(k, count, workers) for k in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, blocks))
-    else:
-        fill(range(count))
+    entries = [random_rotation(4, base + i).matrix[0, 0] for i in range(count)]
     mean = float(np.mean(entries))
     return abs(mean) <= 0.05, f"mean first entry {mean:+.4f} over {count} rotations (tol 0.05)"
 

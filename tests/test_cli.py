@@ -5,6 +5,12 @@ import pytest
 
 from stiefel_retract import cli, qr_decompose, retract, trace_path
 from stiefel_retract.core import max_abs
+from stiefel_retract.equivariance import (
+    DEFAULT_T_SAMPLES,
+    check_equivariance,
+    random_rotation,
+    report_to_json_obj,
+)
 from stiefel_retract.matio import (
     format_matrix_csv,
     format_matrix_json,
@@ -200,14 +206,29 @@ class TestCheck:
         assert run(["check", "--input", str(src), "--seed", "4", "--batch", "2"]) == 0
         assert "passed 2/2" in capsys.readouterr().out
 
-    def test_parallel_output_matches_serial(self, tmp_path, monkeypatch):
-        serial = tmp_path / "serial.json"
-        parallel = tmp_path / "parallel.json"
-        monkeypatch.setenv(cli.THREADS_ENV, "1")
-        assert run(["check", "--dims", "6x2", "--batch", "4", "--seed", "3", "--output", str(serial)]) == 0
-        monkeypatch.setenv(cli.THREADS_ENV, "4")
-        assert run(["check", "--dims", "6x2", "--batch", "4", "--seed", "3", "--output", str(parallel)]) == 0
-        assert serial.read_bytes() == parallel.read_bytes()
+    def test_rank_deficient_input_exits_3_before_any_report(self, tmp_path, capsys):
+        src = tmp_path / "bad.csv"
+        src.write_text("1.0,2.0\n2.0,4.0\n")
+        out = tmp_path / "never"
+        argv = ["check", "--input", str(src), "--format", "csv", "--batch", "3", "--output", str(out)]
+        assert run(argv) == 3
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
+
+    def test_item_i_draws_from_seed_plus_i(self, tmp_path):
+        argv = ["check", "--dims", "6x2", "--batch", "4", "--seed", "3", "--output"]
+        outputs = [tmp_path / "first.json", tmp_path / "second.json"]
+        for out in outputs:
+            assert run([*argv, str(out)]) == 0
+        assert outputs[0].read_bytes() == outputs[1].read_bytes()
+        lines = outputs[0].read_text().splitlines()
+        assert len(lines) == 4
+        for i, line in enumerate(lines):
+            rng = np.random.default_rng(3 + i)
+            alpha, _ = generate_injective(rng, 6, 2)
+            o = random_rotation(6, int(rng.integers(0, 2**63)))
+            report = check_equivariance(alpha, o, DEFAULT_T_SAMPLES, 1e-9)
+            assert json.loads(line) == report_to_json_obj(report)
 
 
 class TestConfigValidation:
@@ -231,6 +252,11 @@ class TestConfigValidation:
     def test_bad_dims_string_rejected(self):
         with pytest.raises(SystemExit) as excinfo:
             run(["retract", "--dims", "4by2", "--seed", "1"])
+        assert excinfo.value.code == 2
+
+    def test_zero_batch_rejected(self):
+        with pytest.raises(SystemExit) as excinfo:
+            run(["check", "--dims", "4x2", "--seed", "1", "--batch", "0"])
         assert excinfo.value.code == 2
 
     def test_bad_tolerance_rejected(self):

@@ -6,7 +6,6 @@ import pytest
 from stiefel_retract import (
     DomainError,
     NonFiniteError,
-    Spacing,
     ZeroVectorError,
     coefficient_matrix,
     homotopy_step,
@@ -179,10 +178,6 @@ class TestTracePath:
     def test_too_few_samples_rejected(self):
         with pytest.raises(DomainError):
             trace_path(validate_injective(HAND_INPUT), 1)
-
-    def test_spacing_enum(self):
-        path = trace_path(validate_injective(HAND_INPUT), 2, spacing=Spacing.UNIFORM)
-        assert len(path.samples) == 2
 
 
 class TestContinuity:
