@@ -73,22 +73,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_io(p, with_steps=False, with_batch=False):
+    def add_io(p):
         p.add_argument("--input", dest="input_path", metavar="PATH")
         p.add_argument("--dims", type=_parse_dims, metavar="MxD")
         p.add_argument("--output", dest="output_path", metavar="PATH")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--seed", type=int)
-        p.add_argument("--tolerance", type=float, default=1e-9)
-        if with_steps:
-            p.add_argument("--steps", type=int, default=11)
-        if with_batch:
-            p.add_argument("--batch", type=int, default=1)
+        return p
 
     add_io(sub.add_parser("retract", help="orthonormalize a matrix"))
-    add_io(sub.add_parser("path", help="sample the homotopy"), with_steps=True)
+    path = add_io(sub.add_parser("path", help="sample the homotopy"))
+    path.add_argument("--steps", type=int, default=11)
     add_io(sub.add_parser("qr", help="positive-diagonal QR of a square matrix"))
-    add_io(sub.add_parser("check", help="equivariance reports"), with_batch=True)
+    check = add_io(sub.add_parser("check", help="equivariance reports"))
+    check.add_argument("--tolerance", type=float, default=1e-9)
+    check.add_argument("--batch", type=int, default=1)
     st = sub.add_parser("selftest", help="run the full invariant suite")
     st.add_argument("--seed", type=int)
     return parser
@@ -97,6 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
 def parse_config(argv) -> argparse.Namespace:
     parser = build_parser()
     ns = parser.parse_args(argv)
+    if ns.seed is not None and ns.seed < 0:
+        parser.error("--seed must be non-negative")
     if ns.subcommand != "selftest":
         if (ns.input_path is None) == (ns.dims is None):
             parser.error("provide exactly one of --input and --dims")
@@ -104,10 +105,11 @@ def parse_config(argv) -> argparse.Namespace:
             parser.error("--seed is required when generating from --dims")
         if ns.subcommand == "path" and ns.steps < 2:
             parser.error("--steps must be at least 2")
-        if ns.tolerance <= 0.0:
-            parser.error("--tolerance must be positive")
-        if ns.subcommand == "check" and ns.batch < 1:
-            parser.error("--batch must be at least 1")
+        if ns.subcommand == "check":
+            if not ns.tolerance > 0.0:
+                parser.error("--tolerance must be positive")
+            if ns.batch < 1:
+                parser.error("--batch must be at least 1")
     return ns
 
 

@@ -102,7 +102,7 @@ def check_equivariance(
     for t in ts:
         if not 0.0 <= t <= 1.0:
             raise DomainError(f"t_samples must lie in [0, 1], got {t!r}")
-    if tolerance <= 0.0:
+    if not tolerance > 0.0:
         raise DomainError(f"tolerance must be positive, got {tolerance}")
     rotated = act(o, alpha, tol_rank)
     base = orthonormalize(alpha, Variant.MODIFIED, tol_rank)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,9 +61,6 @@ _PASSES = {Variant.CLASSICAL: 1, Variant.MODIFIED: 2}
 #: loses orthogonality roughly like eps * condition^2.
 CLASSICAL_TOL_ORTHO = 1e-6
 
-FAULT_ENV = "STIEFEL_RETRACT_FAULT"
-_FAULT_MGS_SIGN = "mgs-sign"
-
 
 @dataclass(frozen=True)
 class GramSchmidtResult:
@@ -96,15 +92,12 @@ def _sweep(a: np.ndarray, passes: int, tol_rank: float):
     input_norms = np.linalg.norm(a, axis=0)
     q = np.zeros((m, d), order="F")
     r = np.zeros((d, d))
-    # Test hook: adding the projections lets the self-test prove it detects
-    # a broken kernel.
-    project = np.add if os.environ.get(FAULT_ENV) == _FAULT_MGS_SIGN else np.subtract
     for i in range(d):
         w = a[:, i]
         basis = q[:, :i]
         for _ in range(passes if i else 0):
             h = w @ basis
-            w = project(w, basis @ h)
+            w = w - basis @ h
             r[:i, i] += h
         nrm = math.sqrt(w @ w)
         if nrm < tol_rank * input_norms[i]:
@@ -168,27 +161,6 @@ def orthonormalize(
         intermediate_norms=r.diagonal(),
         variant_used=variant,
     )
-
-
-def _inductive_coefficients(a: np.ndarray) -> np.ndarray:
-    """Dense upper-triangular coefficients built by the inductive update.
-
-    Column i is accumulated from the expansion of the projections in the
-    previous columns' coefficients, then scaled by the residual norm. Used
-    only as an independent cross-check of the triangular-solve route.
-    """
-    d = a.shape[1]
-    lam = np.zeros((d, d))
-    for i in range(d):
-        lam_t = np.zeros(d)
-        lam_t[i] = 1.0
-        if i:
-            prev = a @ lam[:, :i]
-            proj = prev.T @ a[:, i]
-            lam_t[:i] = -(lam[:i, :i] @ proj)
-        residual = a @ lam_t
-        lam[:, i] = lam_t / np.linalg.norm(residual)
-    return lam
 
 
 def retract(alpha: InjectiveMap, tol_rank: float = DEFAULT_TOL_RANK) -> StiefelFrame:

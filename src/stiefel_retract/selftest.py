@@ -8,13 +8,8 @@ per-module invariants. Everything is deterministic given the master seed.
 
 from __future__ import annotations
 
-import io
-import json
-import tempfile
 import zlib
-from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
-from pathlib import Path
 from time import perf_counter
 
 import numpy as np
@@ -38,7 +33,6 @@ from .equivariance import (
 )
 from .gram_schmidt import (
     Variant,
-    _inductive_coefficients,
     coefficient_matrix,
     householder_qr_oracle,
     orthonormalize,
@@ -46,12 +40,6 @@ from .gram_schmidt import (
     retract,
 )
 from .homotopy import _interpolate, _step, homotopy_step, sphere_interpolant, trace_path
-from .matio import (
-    format_matrix_csv,
-    matrix_from_object,
-    parse_matrix_blocks_csv,
-    parse_matrix_csv,
-)
 from .sampling import conditioned_injective, generate_injective, random_dims
 
 DEFAULT_SEED = 1729
@@ -227,11 +215,6 @@ def check_equivariance_suite(ctx: _Context):
 def check_hand_case(ctx: _Context):
     alpha = validate_injective(np.array([[2.0, 1.0], [0.0, 3.0]]))
     res = orthonormalize(alpha)
-    replay = max_abs(
-        _inductive_coefficients(alpha.matrix) - res.coefficient_matrix.to_dense()
-    )
-    if not replay <= 1e-8:
-        return False, f"inductive coefficient replay disagrees by {replay:.3e} (tol 1e-8)"
     coeff_expected = np.array([[0.5, -1.0 / 6.0], [0.0, 1.0 / 3.0]])
     gaps = [
         max_abs(res.frame.matrix - np.eye(2)),
@@ -443,108 +426,6 @@ def check_group_action(ctx: _Context):
     return worst <= 1e-12, f"max composition gap {worst:.3e} over 50 draws (tol 1e-12)"
 
 
-# ---------------------------------------------------------------------------
-# cli invariants (run in-process against temporary files)
-
-
-def _run_cli(argv) -> int:
-    from . import cli
-
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-        return cli.main(argv)
-
-
-def check_cli_determinism(ctx: _Context):
-    with tempfile.TemporaryDirectory() as tmp:
-        pairs = [
-            ["retract", "--dims", "8x3", "--seed", "11", "--format", "json"],
-            ["path", "--dims", "4x2", "--seed", "7", "--steps", "11", "--format", "csv"],
-        ]
-        for args in pairs:
-            outs = []
-            for k in (0, 1):
-                out = Path(tmp) / f"out{k}"
-                code = _run_cli(args + ["--output", str(out)])
-                if code != 0:
-                    return False, f"{args[0]} exited {code}"
-                outs.append(out.read_bytes())
-            if outs[0] != outs[1]:
-                return False, f"{args[0]} output differs between identical runs"
-    return True, "identical configurations produced byte-identical files"
-
-
-def check_cli_exit_codes(ctx: _Context):
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp_path = Path(tmp)
-        (tmp_path / "garbage.csv").write_text("not,a,number\n1,2,3\n")
-        (tmp_path / "rank.csv").write_text("1.0,2.0\n2.0,4.0\n")
-        (tmp_path / "tall.csv").write_text("1.0,0.0\n0.0,1.0\n0.0,0.0\n")
-        (tmp_path / "eye.csv").write_text(format_matrix_csv(np.eye(3)))
-        missing = tmp_path / "never-written"
-        cases = [
-            (["retract", "--input", str(tmp_path / "eye.csv"), "--format", "csv"], 0),
-            (["retract", "--input", str(tmp_path / "garbage.csv"), "--format", "csv"], 2),
-            (
-                [
-                    "retract",
-                    "--input",
-                    str(tmp_path / "rank.csv"),
-                    "--format",
-                    "csv",
-                    "--output",
-                    str(missing),
-                ],
-                3,
-            ),
-            (["qr", "--input", str(tmp_path / "tall.csv"), "--format", "csv"], 4),
-            (
-                ["check", "--dims", "4x2", "--seed", "3", "--batch", "2", "--tolerance", "1e-30"],
-                1,
-            ),
-        ]
-        for args, expected in cases:
-            code = _run_cli(args)
-            if code != expected:
-                return False, f"{' '.join(args[:2])} exited {code}, expected {expected}"
-        if missing.exists():
-            return False, "output file was written despite a rank failure"
-    return True, "exit codes 0/1/2/3/4 all observed on their designated paths"
-
-
-def check_cli_round_trip(ctx: _Context):
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp_path = Path(tmp)
-        expected, _ = generate_injective(np.random.default_rng(5), 6, 3)
-        frame = retract(expected).matrix
-
-        out_json = tmp_path / "frame.json"
-        if _run_cli(["retract", "--dims", "6x3", "--seed", "5", "--output", str(out_json)]):
-            return False, "retract (json) failed"
-        parsed = matrix_from_object(json.loads(out_json.read_text())["frame"])
-        if not np.array_equal(parsed, frame):
-            return False, "json frame did not round-trip exactly"
-
-        out_csv = tmp_path / "frame.csv"
-        if _run_cli(
-            ["retract", "--dims", "6x3", "--seed", "5", "--format", "csv", "--output", str(out_csv)]
-        ):
-            return False, "retract (csv) failed"
-        if not np.array_equal(parse_matrix_csv(out_csv.read_text()), frame):
-            return False, "csv frame did not round-trip exactly"
-
-        out_qr = tmp_path / "qr.csv"
-        if _run_cli(
-            ["qr", "--dims", "5x5", "--seed", "9", "--format", "csv", "--output", str(out_qr)]
-        ):
-            return False, "qr (csv) failed"
-        blocks = parse_matrix_blocks_csv(out_qr.read_text())
-        sq, _ = generate_injective(np.random.default_rng(9), 5, 5)
-        q, r = qr_decompose(sq)
-        if not (np.array_equal(blocks[0], q.matrix) and np.array_equal(blocks[1], r.to_dense())):
-            return False, "qr csv blocks did not round-trip exactly"
-    return True, "retract and qr outputs re-parse to identical entries"
-
-
 REGISTRY = [
     ("criterion-1-orthonormality", check_orthonormality),
     ("criterion-2-homotopy-endpoints", check_homotopy_endpoints),
@@ -567,9 +448,6 @@ REGISTRY = [
     ("equiv-interpolant-invariance", check_interpolant_invariance),
     ("equiv-haar-moment", check_haar_moment),
     ("equiv-group-action", check_group_action),
-    ("cli-determinism", check_cli_determinism),
-    ("cli-exit-codes", check_cli_exit_codes),
-    ("cli-round-trip", check_cli_round_trip),
 ]
 
 
@@ -586,13 +464,6 @@ def run_all(seed: int = DEFAULT_SEED, names=None) -> list[CheckResult]:
             passed, detail = False, f"{type(exc).__name__}: {exc}"
         results.append(CheckResult(name, passed, detail, perf_counter() - start))
     return results
-
-
-def run_check(name: str, seed: int = DEFAULT_SEED) -> CheckResult:
-    results = run_all(seed, names=[name])
-    if not results:
-        raise KeyError(f"unknown check {name!r}")
-    return results[0]
 
 
 def format_table(results: list[CheckResult]) -> str:

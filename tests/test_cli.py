@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from stiefel_retract import cli, qr_decompose, retract, trace_path
+from stiefel_retract import cli, gram_schmidt, qr_decompose, retract, trace_path
 from stiefel_retract.core import max_abs
 from stiefel_retract.equivariance import (
     DEFAULT_T_SAMPLES,
@@ -69,12 +69,16 @@ class TestRetract:
         assert run(["retract", "--input", str(src), "--format", "csv"]) == 4
 
     def test_generated_dims(self, tmp_path):
+        expected, _ = generate_injective(np.random.default_rng(5), 6, 3)
+        frame = retract(expected).matrix
         out = tmp_path / "frame.csv"
         assert run(
             ["retract", "--dims", "6x3", "--seed", "5", "--format", "csv", "--output", str(out)]
         ) == 0
-        expected, _ = generate_injective(np.random.default_rng(5), 6, 3)
-        assert np.array_equal(parse_matrix_csv(out.read_text()), retract(expected).matrix)
+        assert np.array_equal(parse_matrix_csv(out.read_text()), frame)
+        out = tmp_path / "frame.json"
+        assert run(["retract", "--dims", "6x3", "--seed", "5", "--output", str(out)]) == 0
+        assert np.array_equal(matrix_from_object(json.loads(out.read_text())["frame"]), frame)
 
 
 class TestQr:
@@ -109,6 +113,13 @@ class TestQr:
         q, r = qr_decompose(alpha)
         assert np.array_equal(matrix_from_object(payload["q"]), q.matrix)
         assert np.array_equal(matrix_from_object(payload["r"]), r.to_dense())
+        out = tmp_path / "qr.csv"
+        assert run(
+            ["qr", "--dims", "5x5", "--seed", "9", "--format", "csv", "--output", str(out)]
+        ) == 0
+        blocks = parse_matrix_blocks_csv(out.read_text())
+        assert np.array_equal(blocks[0], q.matrix)
+        assert np.array_equal(blocks[1], r.to_dense())
 
 
 class TestPath:
@@ -260,26 +271,53 @@ class TestConfigValidation:
         assert excinfo.value.code == 2
 
     def test_bad_tolerance_rejected(self):
+        for tolerance in ("0", "nan"):
+            with pytest.raises(SystemExit) as excinfo:
+                run(["check", "--dims", "4x2", "--seed", "1", "--tolerance", tolerance])
+            assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["retract", "--dims", "3x2", "--seed", "-1"],
+            ["path", "--dims", "3x2", "--seed", "-1"],
+            ["qr", "--dims", "3x3", "--seed", "-1"],
+            ["check", "--dims", "3x2", "--seed", "-3", "--batch", "2"],
+            ["selftest", "--seed", "-1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_seed_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            run(["check", "--dims", "4x2", "--seed", "1", "--tolerance", "0"])
+            run(argv)
         assert excinfo.value.code == 2
+        assert "--seed must be non-negative" in capsys.readouterr().err
 
 
 class TestDeterminism:
     def test_identical_configs_identical_bytes(self, tmp_path):
-        payloads = []
-        for k in (0, 1):
-            out = tmp_path / f"out{k}.json"
-            assert run(["retract", "--dims", "8x3", "--seed", "11", "--output", str(out)]) == 0
-            payloads.append(out.read_bytes())
-        assert payloads[0] == payloads[1]
+        for argv in (
+            ["retract", "--dims", "8x3", "--seed", "11"],
+            ["path", "--dims", "4x2", "--seed", "7", "--steps", "11", "--format", "csv"],
+        ):
+            payloads = []
+            for k in (0, 1):
+                out = tmp_path / f"out{k}"
+                assert run([*argv, "--output", str(out)]) == 0
+                payloads.append(out.read_bytes())
+            assert payloads[0] == payloads[1]
 
 
 class TestSelftest:
     def test_fault_injection_fails_orthonormality_row(self, tmp_path, capsys, monkeypatch):
-        from stiefel_retract.gram_schmidt import FAULT_ENV
+        real_sweep = gram_schmidt._sweep
 
-        monkeypatch.setenv(FAULT_ENV, "mgs-sign")
+        def broken(a, passes, tol_rank):
+            q, r = real_sweep(a, passes, tol_rank)
+            q[:, -1] += q[:, 0]
+            return q, r
+
+        monkeypatch.setattr(gram_schmidt, "_sweep", broken)
         assert run(["selftest"]) == 1
         out = capsys.readouterr().out
         assert "FAIL  criterion-1-orthonormality" in out

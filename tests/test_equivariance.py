@@ -127,6 +127,12 @@ class TestCheckEquivariance:
         report = check_equivariance(alpha, o, DEFAULT_T_SAMPLES, tolerance=1e-30)
         assert not report.passed
 
+    @pytest.mark.parametrize("tolerance", [0.0, float("nan")])
+    def test_nonpositive_tolerance_rejected(self, tolerance):
+        alpha, _ = generate_injective(np.random.default_rng(4), 4, 2)
+        with pytest.raises(DomainError):
+            check_equivariance(alpha, random_rotation(4, 1), DEFAULT_T_SAMPLES, tolerance)
+
     def test_empty_t_samples_rejected(self):
         alpha, _ = generate_injective(np.random.default_rng(4), 4, 2)
         with pytest.raises(DomainError):
