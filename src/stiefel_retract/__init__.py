@@ -40,7 +40,6 @@ from .errors import (
 )
 from .gram_schmidt import (
     GramSchmidtResult,
-    Variant,
     coefficient_matrix,
     householder_qr_oracle,
     orthonormalize,
@@ -79,7 +78,6 @@ __all__ = [
     "StiefelFrame",
     "StiefelRetractError",
     "UpperTriangularPositive",
-    "Variant",
     "ZeroVectorError",
     "act",
     "act_on_frame",

@@ -146,17 +146,16 @@ class UpperTriangularPositive:
             raise DomainError("diagonal entries must be strictly positive")
 
     @classmethod
-    def from_dense(cls, dense, *, lower_atol: float = 0.0) -> "UpperTriangularPositive":
+    def from_dense(cls, dense) -> "UpperTriangularPositive":
         """Pack a dense upper-triangular matrix.
 
-        Rejects matrices whose strict lower triangle exceeds ``lower_atol``
-        in absolute value (the default demands exact zeros).
+        Rejects matrices with any nonzero entry in the strict lower triangle.
         """
         a = np.asarray(dense, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionError(f"expected a square matrix, got shape {a.shape}")
         dim = a.shape[0]
-        if max_abs(np.tril(a, -1)) > lower_atol:
+        if max_abs(np.tril(a, -1)) > 0.0:
             raise DomainError("strict lower triangle is not zero")
         rows, cols, _ = _triangle_layout(dim)
         return cls(dim=dim, packed=a[rows, cols])

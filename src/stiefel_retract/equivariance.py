@@ -24,7 +24,7 @@ from .core import (
     validate_rotation,
 )
 from .errors import DimensionError, DomainError, RankDeficientError
-from .gram_schmidt import Variant, orthonormalize, qr_decompose
+from .gram_schmidt import orthonormalize, qr_decompose
 from .homotopy import _step
 
 DEFAULT_T_SAMPLES = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -105,8 +105,8 @@ def check_equivariance(
     if not tolerance > 0.0:
         raise DomainError(f"tolerance must be positive, got {tolerance}")
     rotated = act(o, alpha, tol_rank)
-    base = orthonormalize(alpha, Variant.MODIFIED, tol_rank)
-    moved = orthonormalize(rotated, Variant.MODIFIED, tol_rank)
+    base = orthonormalize(alpha, tol_rank)
+    moved = orthonormalize(rotated, tol_rank)
     frame_defect = max_abs(moved.frame.matrix - o.matrix @ base.frame.matrix)
     coefficient_defect = max_abs(
         moved.coefficient_matrix.packed - base.coefficient_matrix.packed

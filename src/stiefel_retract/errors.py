@@ -25,7 +25,7 @@ class RankDeficientError(StiefelRetractError):
 
 class NumericalRankLossError(StiefelRetractError):
     """Input passed validation but collapsed under roundoff while
-    orthonormalizing.
+    orthonormalizing, or its coefficient matrix left the float range.
 
     Distinct from :class:`RankDeficientError` so callers can tell
     validation-time from computation-time failure.

@@ -8,17 +8,14 @@ square inputs is the inverse of the R factor of the positive-diagonal QR
 decomposition.
 
 There is one kernel: a classical Gram-Schmidt sweep that projects each column
-against the frame built so far. The default runs that projection twice per
-column ("twice is enough": Giraud, Langou and Rozloznik, Numer. Math. 101,
-2005), which leaves the frame orthonormal to working precision for every
-numerically nonsingular input; a single projection loses orthogonality
-roughly like eps * condition^2. Both compute the same map in exact
-arithmetic.
+twice against the frame built so far ("twice is enough": Giraud, Langou and
+Rozloznik, Numer. Math. 101, 2005), which leaves the frame orthonormal to
+working precision for every numerically nonsingular input; a single
+projection would lose orthogonality roughly like eps * condition^2.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -32,34 +29,11 @@ from .core import (
     UpperTriangularPositive,
     as_matrix,
     orthonormality_defect,
-    singular_values,
     tri_solve_inverse,
     validate_frame,
+    validate_injective,
 )
-from .errors import (
-    DimensionError,
-    DomainError,
-    NumericalRankLossError,
-    RankDeficientError,
-)
-
-
-class Variant(enum.Enum):
-    """Which sweep to run.
-
-    ``MODIFIED`` (the default) projects each column twice against the frame
-    built so far; ``CLASSICAL`` projects once.
-    """
-
-    CLASSICAL = "classical"
-    MODIFIED = "modified"
-
-
-_PASSES = {Variant.CLASSICAL: 1, Variant.MODIFIED: 2}
-
-#: Orthogonality tolerance for frames produced by the classical sweep, which
-#: loses orthogonality roughly like eps * condition^2.
-CLASSICAL_TOL_ORTHO = 1e-6
+from .errors import DimensionError, NonFiniteError, NumericalRankLossError
 
 
 @dataclass(frozen=True)
@@ -75,12 +49,11 @@ class GramSchmidtResult:
     frame: StiefelFrame
     coefficient_matrix: UpperTriangularPositive
     intermediate_norms: np.ndarray
-    variant_used: Variant
 
 
-def _sweep(a: np.ndarray, passes: int, tol_rank: float):
+def _sweep(a: np.ndarray, tol_rank: float):
     """Classical Gram-Schmidt on the columns of ``a``, projecting each column
-    ``passes`` times against the frame built so far.
+    twice against the frame built so far.
 
     Returns ``(q, r)`` with ``a = q @ r`` and r upper triangular. Columns are
     first scaled by exact powers of two, so no norm overflows or underflows,
@@ -95,7 +68,7 @@ def _sweep(a: np.ndarray, passes: int, tol_rank: float):
     for i in range(d):
         w = a[:, i]
         basis = q[:, :i]
-        for _ in range(passes if i else 0):
+        for _ in range(2 if i else 0):
             h = w @ basis
             w = w - basis @ h
             r[:i, i] += h
@@ -111,19 +84,17 @@ def _sweep(a: np.ndarray, passes: int, tol_rank: float):
     return q, np.ldexp(r, exps)
 
 
-def _factor(alpha: InjectiveMap, variant: Variant, tol_rank: float, tol_ortho: float):
-    """Run the sweep for ``variant`` and check the frame once.
+def _factor(alpha: InjectiveMap, tol_rank: float):
+    """Run the sweep and check the frame once.
 
     Returns ``(frame, r)`` with ``alpha = frame @ r`` within roundoff.
     """
-    if variant not in _PASSES:
-        raise DomainError(f"unknown variant {variant!r}")
-    q, r = _sweep(alpha.matrix, _PASSES[variant], tol_rank)
+    q, r = _sweep(alpha.matrix, tol_rank)
     defect = orthonormality_defect(q)
-    if not defect <= tol_ortho:
+    if not defect <= DEFAULT_TOL_ORTHO:
         raise NumericalRankLossError(
             f"orthonormalization lost orthogonality: defect {defect:.3e} "
-            f"exceeds tol_ortho={tol_ortho:g} "
+            f"exceeds tol_ortho={DEFAULT_TOL_ORTHO:g} "
             f"(condition estimate {alpha.condition_estimate:.3e})"
         )
     q.setflags(write=False)
@@ -131,41 +102,43 @@ def _factor(alpha: InjectiveMap, variant: Variant, tol_rank: float, tol_ortho: f
 
 
 def orthonormalize(
-    alpha: InjectiveMap,
-    variant: Variant = Variant.MODIFIED,
-    tol_rank: float = DEFAULT_TOL_RANK,
-    tol_ortho: float | None = None,
+    alpha: InjectiveMap, tol_rank: float = DEFAULT_TOL_RANK
 ) -> GramSchmidtResult:
     """Orthonormalize the columns of ``alpha`` and extract the coefficient
     matrix.
 
     The frame satisfies the inductive rule: the first column is the first
     input column normalized, and each later column is the input column minus
-    its projections onto the previous frame columns, normalized. The default
-    ``Variant.MODIFIED`` projects twice per column, ``Variant.CLASSICAL``
-    once. The coefficient matrix is computed as the back-substitution
-    inverse of the triangular factor accumulated by the sweep, which is
-    better conditioned than accumulating the inductive coefficient updates
-    directly.
+    its projections onto the previous frame columns, normalized. The
+    coefficient matrix is computed as the back-substitution inverse of the
+    triangular factor accumulated by the sweep, which is better conditioned
+    than accumulating the inductive coefficient updates directly.
 
     Raises ``NumericalRankLossError`` when a column norm collapses below
-    ``tol_rank`` times its input norm, or when the produced frame misses the
-    orthogonality tolerance (classical sweeps default to a relaxed 1e-6).
+    ``tol_rank`` times its input norm, when the produced frame misses the
+    1e-10 orthogonality tolerance, or when a coefficient lies outside the
+    float range.
     """
-    if tol_ortho is None:
-        tol_ortho = CLASSICAL_TOL_ORTHO if variant is Variant.CLASSICAL else DEFAULT_TOL_ORTHO
-    frame, r = _factor(alpha, variant, tol_rank, tol_ortho)
+    frame, r = _factor(alpha, tol_rank)
+    try:
+        coeff = tri_solve_inverse(r)
+    except NonFiniteError as exc:
+        raise NumericalRankLossError(
+            f"coefficient matrix lies outside the float range: smallest "
+            f"diagonal entry of R is {float(np.min(r.diagonal())):.3e}"
+        ) from exc
     return GramSchmidtResult(
-        frame=frame,
-        coefficient_matrix=tri_solve_inverse(r),
-        intermediate_norms=r.diagonal(),
-        variant_used=variant,
+        frame=frame, coefficient_matrix=coeff, intermediate_norms=r.diagonal()
     )
 
 
 def retract(alpha: InjectiveMap, tol_rank: float = DEFAULT_TOL_RANK) -> StiefelFrame:
-    """The Gram-Schmidt retraction: the orthonormal frame of ``alpha``."""
-    return orthonormalize(alpha, Variant.MODIFIED, tol_rank).frame
+    """The Gram-Schmidt retraction: the orthonormal frame of ``alpha``.
+
+    Skips the coefficient matrix, so it also works where a coefficient would
+    lie outside the float range.
+    """
+    return _factor(alpha, tol_rank)[0]
 
 
 def coefficient_matrix(
@@ -173,7 +146,7 @@ def coefficient_matrix(
 ) -> UpperTriangularPositive:
     """The unique positive-diagonal upper-triangular matrix carrying
     ``alpha`` onto its frame (alpha @ result = frame)."""
-    return orthonormalize(alpha, Variant.MODIFIED, tol_rank).coefficient_matrix
+    return orthonormalize(alpha, tol_rank).coefficient_matrix
 
 
 def qr_decompose(
@@ -189,7 +162,7 @@ def qr_decompose(
     m, d = alpha.matrix.shape
     if m != d:
         raise DimensionError("qr requires a square matrix")
-    return _factor(alpha, Variant.MODIFIED, tol_rank, DEFAULT_TOL_ORTHO)
+    return _factor(alpha, tol_rank)
 
 
 def householder_qr_oracle(
@@ -204,12 +177,7 @@ def householder_qr_oracle(
     arr = as_matrix(a)
     if arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
-    sv = singular_values(arr)
-    if float(sv[-1]) <= tol_rank * float(sv[0]):
-        raise RankDeficientError(
-            f"matrix is numerically singular: singular-value ratio "
-            f"{float(sv[-1]) / float(sv[0]) if sv[0] else 0.0:.3e}"
-        )
+    validate_injective(arr, tol_rank)
     q, r = np.linalg.qr(arr)
     signs = np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
     q = q * signs

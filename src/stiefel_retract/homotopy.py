@@ -132,18 +132,15 @@ def sphere_interpolant(v, t: float, tol_rank: float = DEFAULT_TOL_RANK) -> np.nd
 
 
 def trace_path(
-    alpha: InjectiveMap,
-    n: int,
-    tol_rank: float = DEFAULT_TOL_RANK,
-    tol_ortho: float = DEFAULT_TOL_ORTHO,
+    alpha: InjectiveMap, n: int, tol_rank: float = DEFAULT_TOL_RANK
 ) -> HomotopyPath:
     """Sample the homotopy at n uniform times t_k = k / (n - 1).
 
     The coefficient matrix is computed once and shared by all samples. Each
     sample records the minimum interpolant diagonal and the orthogonality
     defect of the moved point. For sources within the guaranteed condition
-    regime the defect at t = 1 must meet ``tol_ortho``; beyond that regime it
-    is reported as a diagnostic only.
+    regime the defect at t = 1 must meet the 1e-10 orthogonality tolerance;
+    beyond that regime it is reported as a diagnostic only.
     """
     if n < 2:
         raise DomainError(f"need at least 2 samples, got {n}")
@@ -153,26 +150,21 @@ def trace_path(
     for k in range(n):
         t = k / (n - 1)
         point = _step(alpha, coeff, t, tol_rank)
-        min_diag = float(np.min((1.0 - t) + t * diag))
-        if not min_diag > 0.0:
-            raise InternalRankLossError(
-                f"interpolant diagonal hit {min_diag:g} at t={t:g}"
-            )
         samples.append(
             PathSample(
                 t=t,
                 point=point,
-                min_interpolant_diag=min_diag,
+                min_interpolant_diag=float(np.min((1.0 - t) + t * diag)),
                 ortho_defect=orthonormality_defect(point.matrix),
             )
         )
     if (
         alpha.condition_estimate <= GUARANTEE_CONDITION
-        and samples[-1].ortho_defect > tol_ortho
+        and samples[-1].ortho_defect > DEFAULT_TOL_ORTHO
     ):
         raise InternalRankLossError(
             f"endpoint orthogonality defect {samples[-1].ortho_defect:.3e} "
-            f"exceeds tol_ortho={tol_ortho:g} despite condition estimate "
+            f"exceeds tol_ortho={DEFAULT_TOL_ORTHO:g} despite condition estimate "
             f"{alpha.condition_estimate:.3e}"
         )
     return HomotopyPath(source=alpha, samples=tuple(samples))

@@ -12,6 +12,9 @@ import numpy as np
 from .core import DEFAULT_TOL_RANK, InjectiveMap, validate_injective
 from .errors import RankDeficientError, StiefelRetractError
 
+#: Draws tried by :func:`generate_injective` before it gives up.
+MAX_TRIES = 1000
+
 
 def generate_injective(
     rng: np.random.Generator,
@@ -19,7 +22,6 @@ def generate_injective(
     d: int,
     tol_rank: float = DEFAULT_TOL_RANK,
     max_condition: float | None = None,
-    max_tries: int = 1000,
 ) -> tuple[InjectiveMap, int]:
     """Draw a validated m x d map with uniform [-1, 1] entries.
 
@@ -27,7 +29,7 @@ def generate_injective(
     with a larger condition estimate.
     """
     resamples = 0
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         raw = rng.uniform(-1.0, 1.0, size=(m, d))
         try:
             alpha = validate_injective(raw, tol_rank)
@@ -39,7 +41,7 @@ def generate_injective(
             continue
         return alpha, resamples
     raise StiefelRetractError(
-        f"could not generate a valid {m}x{d} matrix in {max_tries} tries"
+        f"could not generate a valid {m}x{d} matrix in {MAX_TRIES} tries"
     )
 
 

@@ -49,6 +49,11 @@ class TestRetract:
             == 3
         )
         assert not out.exists()
+        # Valid subnormal input whose path coefficients overflow the float range.
+        src = tmp_path / "tiny.json"
+        src.write_text(format_matrix_json(np.random.default_rng(0).standard_normal((5, 3)) * 1e-310))
+        assert run(["path", "--input", str(src), "--output", str(out)]) == 3
+        assert not out.exists()
 
     def test_garbage_exits_2(self, tmp_path):
         src = tmp_path / "garbage.csv"
@@ -312,8 +317,8 @@ class TestSelftest:
     def test_fault_injection_fails_orthonormality_row(self, tmp_path, capsys, monkeypatch):
         real_sweep = gram_schmidt._sweep
 
-        def broken(a, passes, tol_rank):
-            q, r = real_sweep(a, passes, tol_rank)
+        def broken(a, tol_rank):
+            q, r = real_sweep(a, tol_rank)
             q[:, -1] += q[:, 0]
             return q, r
 

@@ -7,8 +7,8 @@ from stiefel_retract import (
     DimensionError,
     NumericalRankLossError,
     RankDeficientError,
-    Variant,
     coefficient_matrix,
+    homotopy_step,
     householder_qr_oracle,
     include_frame,
     orthonormalize,
@@ -27,6 +27,8 @@ from stiefel_retract.sampling import (
 
 HAND_INPUT = np.array([[2.0, 1.0], [0.0, 3.0]])
 HAND_COEFF = np.array([[0.5, -1.0 / 6.0], [0.0, 1.0 / 3.0]])
+# Subnormal entries: valid input whose coefficients (about 1e310) overflow.
+TINY_INPUT = np.random.default_rng(0).standard_normal((5, 3)) * 1e-310
 
 
 def _inductive_coefficients(a: np.ndarray) -> np.ndarray:
@@ -50,22 +52,16 @@ def _inductive_coefficients(a: np.ndarray) -> np.ndarray:
     return lam
 
 
-@pytest.fixture(params=[Variant.CLASSICAL, Variant.MODIFIED])
-def variant(request):
-    return request.param
-
-
 class TestOrthonormalize:
-    def test_standard_basis_columns_fixed(self, variant):
+    def test_standard_basis_columns_fixed(self):
         alpha = validate_injective(np.eye(5)[:, :3])
-        res = orthonormalize(alpha, variant)
+        res = orthonormalize(alpha)
         assert np.array_equal(res.frame.matrix, alpha.matrix)
         assert np.array_equal(res.coefficient_matrix.to_dense(), np.eye(3))
-        assert res.variant_used is variant
 
-    def test_hand_case(self, variant):
+    def test_hand_case(self):
         alpha = validate_injective(HAND_INPUT)
-        res = orthonormalize(alpha, variant)
+        res = orthonormalize(alpha)
         assert max_abs(_inductive_coefficients(HAND_INPUT) - res.coefficient_matrix.to_dense()) <= 1e-8
         assert max_abs(res.frame.matrix - np.eye(2)) <= 1e-14
         assert max_abs(res.coefficient_matrix.to_dense() - HAND_COEFF) <= 1e-14
@@ -73,15 +69,15 @@ class TestOrthonormalize:
         assert max_abs(HAND_INPUT @ res.coefficient_matrix.to_dense() - np.eye(2)) <= 1e-14
         assert np.array_equal(res.intermediate_norms, [2.0, 3.0])
 
-    def test_single_column(self, variant):
+    def test_single_column(self):
         alpha = validate_injective(np.array([[3.0], [4.0]]))
-        res = orthonormalize(alpha, variant)
+        res = orthonormalize(alpha)
         assert np.array_equal(res.frame.matrix, np.array([[0.6], [0.8]]))
         assert np.array_equal(res.coefficient_matrix.to_dense(), [[0.2]])
         assert np.array_equal(res.intermediate_norms, [5.0])
 
-    def test_one_by_one_is_reciprocal_norm(self, variant):
-        res = orthonormalize(validate_injective([[2.0]]), variant)
+    def test_one_by_one_is_reciprocal_norm(self):
+        res = orthonormalize(validate_injective([[2.0]]))
         assert np.array_equal(res.coefficient_matrix.to_dense(), [[0.5]])
 
     def test_diagonal_reciprocal_invariant(self):
@@ -107,15 +103,6 @@ class TestOrthonormalize:
                 <= 1e-10
             )
 
-    def test_variants_agree_on_tame_inputs(self):
-        rng = np.random.default_rng(6)
-        for _ in range(20):
-            m, d = random_dims(rng, 24)
-            alpha = conditioned_injective(rng, m, d, 10.0 ** rng.uniform(0, 4))
-            classical = orthonormalize(alpha, Variant.CLASSICAL)
-            modified = orthonormalize(alpha, Variant.MODIFIED)
-            assert max_abs(classical.frame.matrix - modified.frame.matrix) <= 1e-8
-
     def test_inductive_replay_matches_triangular_route(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
@@ -138,12 +125,18 @@ class TestOrthonormalize:
         alpha = validate_injective(raw, tol_rank=1e-14)
         with pytest.raises(NumericalRankLossError):
             orthonormalize(alpha, tol_rank=1e-10)
+        # Accepted by validation, but the coefficients overflow the float range.
+        tiny = validate_injective(TINY_INPUT)
+        for fn in (orthonormalize, coefficient_matrix,
+                   lambda a: homotopy_step(a, 0.5), lambda a: trace_path(a, 3)):
+            with pytest.raises(NumericalRankLossError):
+                fn(tiny)
 
     def test_fault_hook_breaks_orthogonality(self, monkeypatch):
         real_sweep = gram_schmidt._sweep
 
-        def broken(a, passes, tol_rank):
-            q, r = real_sweep(a, passes, tol_rank)
+        def broken(a, tol_rank):
+            q, r = real_sweep(a, tol_rank)
             q[:, -1] += q[:, 0]
             return q, r
 
@@ -156,9 +149,12 @@ class TestOrthonormalize:
 class TestRetract:
     def test_frame_is_fixed_point(self):
         rng = np.random.default_rng(10)
-        for _ in range(10):
-            m, d = random_dims(rng, 24)
-            alpha, _ = generate_injective(rng, m, d, max_condition=1e6)
+        inputs = [
+            generate_injective(rng, *random_dims(rng, 24), max_condition=1e6)[0]
+            for _ in range(10)
+        ]
+        # The coefficients of TINY_INPUT overflow the float range; its frame does not.
+        for alpha in inputs + [validate_injective(TINY_INPUT)]:
             frame = retract(alpha)
             again = retract(include_frame(frame))
             assert max_abs(again.matrix - frame.matrix) <= 1e-10
@@ -167,6 +163,15 @@ class TestRetract:
         assert np.array_equal(
             retract(validate_injective([[3.0], [4.0]])).matrix, [[0.6], [0.8]]
         )
+
+    def test_same_frame_as_orthonormalize(self):
+        # retract runs the sweep without building the coefficient matrix; its
+        # frame must be orthonormalize's, bit for bit.
+        rng = np.random.default_rng(22)
+        for condition in (1.0, 1e3, 1e5, 9e5) * 5:
+            m, d = random_dims(rng, 32)
+            alpha = conditioned_injective(rng, m, d, condition)
+            assert np.array_equal(retract(alpha).matrix, orthonormalize(alpha).frame.matrix)
 
     def test_positive_column_scaling_ignored(self):
         rng = np.random.default_rng(12)
