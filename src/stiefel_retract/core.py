@@ -9,6 +9,7 @@ share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -55,8 +56,14 @@ def max_abs(a: np.ndarray) -> float:
 
 
 def orthonormality_defect(a: np.ndarray) -> float:
-    """Max-abs deviation of ``a.T @ a`` from the identity."""
-    return max_abs(a.T @ a - np.eye(a.shape[1]))
+    """Max-abs deviation of ``a.T @ a`` from the identity.
+
+    Entries past about 1e154 overflow the Gram product, and the defect is
+    then ``inf``, without a warning.
+    """
+    with np.errstate(over="ignore"):
+        gram = a.T @ a
+    return max_abs(gram - np.eye(a.shape[1]))
 
 
 def singular_values(a: np.ndarray) -> np.ndarray:
@@ -188,6 +195,10 @@ def validate_injective(raw, tol_rank: float = DEFAULT_TOL_RANK) -> InjectiveMap:
     if d > m:
         raise DimensionError(f"need d <= m for an injective map, got {m}x{d}")
     sv = singular_values(a)
+    if not (math.isfinite(sv[0]) and math.isfinite(sv[-1])):
+        # The SVD overflowed on huge finite entries. One exact power of two
+        # brings max|a| into [0.5, 1) and leaves the ratio unchanged.
+        sv = singular_values(np.ldexp(a, -math.frexp(max_abs(a))[1]))
     largest, smallest = float(sv[0]), float(sv[-1])
     if smallest <= tol_rank * largest:
         raise RankDeficientError(
@@ -256,6 +267,9 @@ def tri_solve_inverse(u: UpperTriangularPositive) -> UpperTriangularPositive:
     n = u.dim
     a = u.to_dense()
     x = np.eye(n)
-    for i in range(n - 1, -1, -1):
-        x[i] = (x[i] - a[i, i + 1 :] @ x[i + 1 :]) / a[i, i]
+    # An entry past the float range becomes inf or nan here, and the finite
+    # check in ``from_dense`` raises ``NonFiniteError`` for it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n - 1, -1, -1):
+            x[i] = (x[i] - a[i, i + 1 :] @ x[i + 1 :]) / a[i, i]
     return UpperTriangularPositive.from_dense(x)

@@ -5,6 +5,12 @@ For a map alpha with coefficient matrix M, the interpolant at time t is
 [0, 1], so the deformed map alpha @ interpolant stays injective along the
 whole path. At t = 0 the path starts at alpha (returned bit-identically) and
 at t = 1 it lands on the Gram-Schmidt frame.
+
+Since alpha @ M = Q, the point at time t is (1 - t) * alpha + t * Q, and with
+R = M^-1 it equals Q @ ((1 - t) * R + t * I): a thin QR factorization whose
+d x d triangle has diagonal (1 - t) * r_ii + t > 0. The point's singular
+values are that triangle's, so ``trace_path`` certifies the rank of every
+sample with a d x d SVD rather than an m x d one.
 """
 
 from __future__ import annotations
@@ -20,7 +26,9 @@ from .core import (
     InjectiveMap,
     UpperTriangularPositive,
     _triangle_layout,
+    as_matrix,
     orthonormality_defect,
+    tri_solve_inverse,
     validate_injective,
 )
 from .errors import (
@@ -136,20 +144,46 @@ def trace_path(
 ) -> HomotopyPath:
     """Sample the homotopy at n uniform times t_k = k / (n - 1).
 
-    The coefficient matrix is computed once and shared by all samples. Each
-    sample records the minimum interpolant diagonal and the orthogonality
-    defect of the moved point. For sources within the guaranteed condition
-    regime the defect at t = 1 must meet the 1e-10 orthogonality tolerance;
-    beyond that regime it is reported as a diagnostic only.
+    The coefficient matrix M, the endpoint alpha @ M and R = M^-1 are
+    computed once. Each sample is the straight-line point
+    (1 - t) * alpha + t * (alpha @ M), which equals Q @ ((1 - t) * R + t * I);
+    its rank is certified, and its condition estimate taken, from that d x d
+    triangle. Each sample records the minimum interpolant diagonal and the
+    orthogonality defect of the point. For sources within the guaranteed
+    condition regime the defect at t = 1 must meet the 1e-10 orthogonality
+    tolerance; beyond that regime it is reported as a diagnostic only.
     """
     if n < 2:
         raise DomainError(f"need at least 2 samples, got {n}")
     coeff = coefficient_matrix(alpha, tol_rank)
     diag = coeff.diagonal()
+    end = alpha.matrix @ coeff.to_dense()
+    try:
+        r = tri_solve_inverse(coeff).to_dense()
+    except NonFiniteError as exc:
+        raise InternalRankLossError(
+            f"triangular factor R = M^-1 failed revalidation: {exc}"
+        ) from exc
+    eye = np.eye(alpha.shape[1])
     samples = []
     for k in range(n):
         t = k / (n - 1)
-        point = _step(alpha, coeff, t, tol_rank)
+        if k == 0:
+            # Returning the input object keeps the t = 0 endpoint exact.
+            point = alpha
+        else:
+            # The t = 1 sample is alpha @ M itself, bit for bit.
+            moved = end if k == n - 1 else (1.0 - t) * alpha.matrix + t * end
+            try:
+                matrix = as_matrix(moved)
+                certificate = validate_injective((1.0 - t) * r + t * eye, tol_rank)
+            except (RankDeficientError, NonFiniteError) as exc:
+                raise InternalRankLossError(
+                    f"homotopy point at t={t:g} failed revalidation: {exc}"
+                ) from exc
+            point = InjectiveMap(
+                matrix=matrix, condition_estimate=certificate.condition_estimate
+            )
         samples.append(
             PathSample(
                 t=t,
@@ -181,8 +215,13 @@ def path_to_csv(path: HomotopyPath) -> str:
     )
     lines = [",".join(header)]
     for s in path.samples:
-        values = [s.t, *s.point.matrix.reshape(-1, order="C"), s.min_interpolant_diag, s.ortho_defect]
-        lines.append(",".join(repr(float(x)) for x in values))
+        values = [
+            float(s.t),
+            *s.point.matrix.reshape(-1, order="C").tolist(),
+            float(s.min_interpolant_diag),
+            float(s.ortho_defect),
+        ]
+        lines.append(",".join(map(repr, values)))
     return "\n".join(lines) + "\n"
 
 

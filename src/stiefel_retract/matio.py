@@ -20,7 +20,7 @@ def matrix_to_object(a: np.ndarray) -> dict:
     return {
         "rows": int(a.shape[0]),
         "cols": int(a.shape[1]),
-        "data": [float(x) for x in a.reshape(-1, order="C")],
+        "data": a.reshape(-1, order="C").tolist(),
     }
 
 
@@ -61,7 +61,7 @@ def parse_matrix_json(text: str) -> np.ndarray:
 
 def format_matrix_csv(a: np.ndarray) -> str:
     a = np.asarray(a, dtype=float)
-    lines = [",".join(repr(float(x)) for x in row) for row in a]
+    lines = [",".join(map(repr, row)) for row in a.tolist()]
     return "\n".join(lines) + "\n"
 
 

@@ -40,7 +40,8 @@ class TestRetract:
         assert run(["retract", "--input", str(src), "--format", "csv"]) == 0
         assert capsys.readouterr().out == "0.6\n0.8\n"
 
-    def test_rank_deficient_exits_3_without_output(self, tmp_path):
+    @pytest.mark.filterwarnings("error")
+    def test_rank_deficient_exits_3_without_output(self, tmp_path, capsys):
         src = tmp_path / "bad.csv"
         src.write_text("1.0,2.0\n2.0,4.0\n")
         out = tmp_path / "never"
@@ -49,11 +50,14 @@ class TestRetract:
             == 3
         )
         assert not out.exists()
+        capsys.readouterr()
         # Valid subnormal input whose path coefficients overflow the float range.
         src = tmp_path / "tiny.json"
         src.write_text(format_matrix_json(np.random.default_rng(0).standard_normal((5, 3)) * 1e-310))
         assert run(["path", "--input", str(src), "--output", str(out)]) == 3
         assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_garbage_exits_2(self, tmp_path):
         src = tmp_path / "garbage.csv"

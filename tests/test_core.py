@@ -28,6 +28,12 @@ class TestValidateInjective:
         alpha = validate_injective(raw)
         assert np.array_equal(alpha.matrix, raw)
         assert alpha.condition_estimate == 1.0
+        # Orthogonal columns of equal norm with entries +-1.5e308, where an
+        # unscaled SVD overflows.
+        raw = np.column_stack([np.ones(16), np.resize([1.0, -1.0], 16)]) * 1.5e308
+        alpha = validate_injective(raw)
+        assert np.array_equal(alpha.matrix, raw)
+        assert abs(alpha.condition_estimate - 1.0) <= 4 * np.finfo(float).eps
 
     def test_duplicate_direction_rejected(self):
         raw = np.array([[1.0, 2.0], [0.0, 0.0], [0.0, 0.0]])

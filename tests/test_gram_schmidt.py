@@ -119,6 +119,7 @@ class TestOrthonormalize:
             alpha = conditioned_injective(rng, m, d, 9e5)
             assert orthonormality_defect(orthonormalize(alpha).frame.matrix) <= 1e-14
 
+    @pytest.mark.filterwarnings("error")
     def test_rank_collapse_raises(self):
         # Passes a loose validation but collapses at the sweep's tolerance.
         raw = np.array([[1.0, 1.0], [0.0, 1e-12]])
@@ -197,7 +198,7 @@ class TestRetract:
             assert max_abs(retract(scaled).matrix - retract(alpha).matrix) <= 1e-9
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -208,7 +209,8 @@ def test_power_of_two_column_scaling_is_exact(seed, common, spread):
     # Scaling column j by 2**k_j leaves the frame unchanged, scales row j of
     # the coefficient matrix by 2**-k_j and column j of R by 2**k_j; all of
     # it is exact while every entry stays a normal float. Near the ends of
-    # the range the defects of intermediate path samples overflow to inf.
+    # the range the defects of intermediate path samples overflow to inf,
+    # without a warning.
     rng = np.random.default_rng(seed)
     m, d = random_dims(rng, 8)
     exps = np.clip(common + np.array(spread[:d]), -1000, 1000)

@@ -5,7 +5,9 @@ import pytest
 
 from stiefel_retract import (
     DomainError,
+    InternalRankLossError,
     NonFiniteError,
+    RankDeficientError,
     ZeroVectorError,
     coefficient_matrix,
     homotopy_step,
@@ -17,6 +19,7 @@ from stiefel_retract import (
     validate_frame,
     validate_injective,
 )
+from stiefel_retract import homotopy
 from stiefel_retract.core import max_abs
 from stiefel_retract.homotopy import (
     parse_path_csv,
@@ -24,7 +27,11 @@ from stiefel_retract.homotopy import (
     path_to_csv,
     path_to_json_obj,
 )
-from stiefel_retract.sampling import generate_injective, random_dims
+from stiefel_retract.sampling import (
+    conditioned_injective,
+    generate_injective,
+    random_dims,
+)
 
 HAND_INPUT = np.array([[2.0, 1.0], [0.0, 3.0]])
 
@@ -178,6 +185,81 @@ class TestTracePath:
     def test_too_few_samples_rejected(self):
         with pytest.raises(DomainError):
             trace_path(validate_injective(HAND_INPUT), 1)
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_scale_input_warns_nothing(self):
+        # Intermediate samples near 2^900 overflow the Gram product; their
+        # defect is inf, and no warning is printed.
+        rng = np.random.default_rng(33)
+        for condition in (1e2, 1e6):
+            alpha = validate_injective(
+                conditioned_injective(rng, 12, 4, condition).matrix * 2.0**900
+            )
+            path = trace_path(alpha, 5)
+            assert path.samples[-1].ortho_defect <= 1e-10
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=InternalRankLossError,
+    reason="the t = 1 point alpha @ M carries rounding of about eps * condition, "
+    "which exceeds the 1e-10 endpoint tolerance on some inputs near condition 9e5",
+)
+def test_endpoint_meets_tolerance_near_guarantee_boundary():
+    rng = np.random.default_rng(43)
+    for _ in range(400):
+        m, d = random_dims(rng, 24)
+        trace_path(conditioned_injective(rng, m, d, 9e5), 2)
+
+
+def _seeded_paths(n=33):
+    rng = np.random.default_rng(44)
+    for condition in (1.0, 1e2, 1e4, 1e5, 9e5):
+        for _ in range(4):
+            m, d = random_dims(rng, 24)
+            alpha = conditioned_injective(rng, m, d, condition)
+            yield alpha, trace_path(alpha, n)
+
+
+class TestStraightLinePath:
+    def test_condition_estimate_matches_svd_of_point(self):
+        # The d x d certificate against an m x d SVD of the returned point.
+        for _, path in _seeded_paths():
+            for s in path.samples:
+                sv = np.linalg.svd(s.point.matrix, compute_uv=False)
+                expected = sv[0] / sv[-1]
+                assert abs(s.point.condition_estimate - expected) <= 1e-8 * expected
+
+    def test_points_match_interpolant_product(self):
+        eps = np.finfo(float).eps
+        for alpha, path in _seeded_paths():
+            scale = max_abs(alpha.matrix)
+            for s in path.samples:
+                product = alpha.matrix @ interpolant(alpha, s.t).to_dense()
+                bound = 1e3 * eps * scale + s.t * 1e3 * eps * alpha.condition_estimate
+                assert max_abs(s.point.matrix - product) <= bound
+
+    def test_endpoint_is_alpha_times_coefficients_bit_for_bit(self):
+        for alpha, path in _seeded_paths():
+            end = alpha.matrix @ coefficient_matrix(alpha).to_dense()
+            assert np.array_equal(path.samples[-1].point.matrix, end)
+            assert path.samples[0].point is alpha
+
+    def test_points_are_read_only_column_major(self):
+        for _, path in _seeded_paths(n=5):
+            for s in path.samples:
+                assert not s.point.matrix.flags.writeable
+                assert s.point.matrix.flags.f_contiguous
+
+    @pytest.mark.parametrize("error", [RankDeficientError, NonFiniteError])
+    def test_certificate_failure_names_t(self, monkeypatch, error):
+        def refuse(raw, tol_rank):
+            raise error("injected")
+
+        alpha = validate_injective(HAND_INPUT)
+        monkeypatch.setattr(homotopy, "validate_injective", refuse)
+        with pytest.raises(InternalRankLossError, match=r"t=0\.5 failed revalidation: injected"):
+            trace_path(alpha, 3)
 
 
 class TestContinuity:
