@@ -43,7 +43,7 @@ def as_matrix(raw) -> np.ndarray:
         raise DimensionError(f"expected a 2-d matrix, got {a.ndim} dimensions")
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise DimensionError(f"matrix axes must be positive, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NonFiniteError("matrix contains NaN or infinite entries")
     a.setflags(write=False)
     return a
@@ -52,7 +52,7 @@ def as_matrix(raw) -> np.ndarray:
 def max_abs(a: np.ndarray) -> float:
     """Largest entry in absolute value (0 for an empty array)."""
     a = np.asarray(a)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(np.abs(a).max()) if a.size else 0.0
 
 
 def orthonormality_defect(a: np.ndarray) -> float:
@@ -63,7 +63,8 @@ def orthonormality_defect(a: np.ndarray) -> float:
     """
     with np.errstate(over="ignore"):
         gram = a.T @ a
-    return max_abs(gram - np.eye(a.shape[1]))
+    gram.flat[:: a.shape[1] + 1] -= 1.0
+    return max_abs(gram)
 
 
 def singular_values(a: np.ndarray) -> np.ndarray:
@@ -110,16 +111,19 @@ class Rotation:
 
 @lru_cache(maxsize=None)
 def _triangle_layout(dim: int):
-    """Index arrays for the packed upper triangle of a dim x dim matrix.
+    """Masks for the packed upper triangle of a dim x dim matrix.
 
-    Returns ``(rows, cols, diag_positions)`` where positions follow row-major
-    order within the triangle.
+    Returns ``(upper, lower, diag_positions)``: boolean masks of the upper
+    triangle (diagonal included) and of the strict lower triangle, and the
+    positions of the diagonal entries within the packed triangle. Boolean
+    indexing runs in row-major order, which is the packed order.
     """
-    rows, cols = np.triu_indices(dim)
-    diag = np.flatnonzero(rows == cols)
-    for arr in (rows, cols, diag):
+    upper = np.triu(np.ones((dim, dim), dtype=bool))
+    lower = ~upper
+    diag = np.flatnonzero(np.eye(dim, dtype=bool)[upper])
+    for arr in (upper, lower, diag):
         arr.setflags(write=False)
-    return rows, cols, diag
+    return upper, lower, diag
 
 
 @dataclass(frozen=True)
@@ -138,43 +142,42 @@ class UpperTriangularPositive:
         if self.dim < 1:
             raise DimensionError("dim must be a positive integer")
         expected = self.dim * (self.dim + 1) // 2
-        packed = np.asarray(self.packed, dtype=float)
+        packed = np.array(self.packed, dtype=float)
         if packed.shape != (expected,):
             raise DimensionError(
                 f"packed triangle for dim {self.dim} needs {expected} entries, "
                 f"got shape {packed.shape}"
             )
-        if not np.all(np.isfinite(packed)):
+        if not np.isfinite(packed).all():
             raise NonFiniteError("triangle contains NaN or infinite entries")
-        packed = packed.copy()
         packed.setflags(write=False)
         object.__setattr__(self, "packed", packed)
-        if not np.all(self.diagonal() > 0.0):
+        if not (self.diagonal() > 0.0).all():
             raise DomainError("diagonal entries must be strictly positive")
 
     @classmethod
     def from_dense(cls, dense) -> "UpperTriangularPositive":
         """Pack a dense upper-triangular matrix.
 
-        Rejects matrices with any nonzero entry in the strict lower triangle.
+        Rejects matrices with any nonzero entry, NaN included, in the strict
+        lower triangle.
         """
         a = np.asarray(dense, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-        dim = a.shape[0]
-        if max_abs(np.tril(a, -1)) > 0.0:
+        upper, lower, _ = _triangle_layout(a.shape[0])
+        if a[lower].any():
             raise DomainError("strict lower triangle is not zero")
-        rows, cols, _ = _triangle_layout(dim)
-        return cls(dim=dim, packed=a[rows, cols])
+        return cls(dim=a.shape[0], packed=a[upper])
 
     def diagonal(self) -> np.ndarray:
         _, _, diag = _triangle_layout(self.dim)
         return self.packed[diag]
 
     def to_dense(self) -> np.ndarray:
-        rows, cols, _ = _triangle_layout(self.dim)
+        upper, _, _ = _triangle_layout(self.dim)
         a = np.zeros((self.dim, self.dim))
-        a[rows, cols] = self.packed
+        a[upper] = self.packed
         return a
 
 
@@ -268,8 +271,10 @@ def tri_solve_inverse(u: UpperTriangularPositive) -> UpperTriangularPositive:
     a = u.to_dense()
     x = np.eye(n)
     # An entry past the float range becomes inf or nan here, and the finite
-    # check in ``from_dense`` raises ``NonFiniteError`` for it.
+    # check below raises ``NonFiniteError`` for it.
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n - 1, -1, -1):
             x[i] = (x[i] - a[i, i + 1 :] @ x[i + 1 :]) / a[i, i]
+    if not np.isfinite(x).all():
+        raise NonFiniteError("triangular inverse has NaN or infinite entries")
     return UpperTriangularPositive.from_dense(x)

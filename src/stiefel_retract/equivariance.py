@@ -113,8 +113,8 @@ def check_equivariance(
     )
     homotopy_defects = []
     for t in ts:
-        left = _step(rotated, moved.coefficient_matrix, t, tol_rank)
-        right = _step(alpha, base.coefficient_matrix, t, tol_rank)
+        left = _step(rotated, moved, t, tol_rank)
+        right = _step(alpha, base, t, tol_rank)
         homotopy_defects.append(
             (t, max_abs(left.matrix - o.matrix @ right.matrix))
         )

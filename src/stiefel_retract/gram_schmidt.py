@@ -43,12 +43,15 @@ class GramSchmidtResult:
     ``coefficient_matrix`` column i holds the expansion coefficients of frame
     column i in the input columns; its diagonal entries are the reciprocals
     of ``intermediate_norms``, the per-column norms seen just before
-    normalization.
+    normalization. ``triangular_factor`` is R, the triangle accumulated by
+    the sweep (alpha = frame @ R within roundoff, M = R^-1); its diagonal is
+    ``intermediate_norms``.
     """
 
     frame: StiefelFrame
     coefficient_matrix: UpperTriangularPositive
     intermediate_norms: np.ndarray
+    triangular_factor: UpperTriangularPositive
 
 
 def _sweep(a: np.ndarray, tol_rank: float):
@@ -67,11 +70,14 @@ def _sweep(a: np.ndarray, tol_rank: float):
     r = np.zeros((d, d))
     for i in range(d):
         w = a[:, i]
-        basis = q[:, :i]
-        for _ in range(2 if i else 0):
+        if i:
+            basis = q[:, :i]
             h = w @ basis
             w = w - basis @ h
-            r[:i, i] += h
+            h2 = w @ basis
+            w -= basis @ h2
+            # Starting from +0.0 stores a zero coefficient as +0.0, never -0.0.
+            r[:i, i] = 0.0 + h + h2
         nrm = math.sqrt(w @ w)
         if nrm < tol_rank * input_norms[i]:
             raise NumericalRankLossError(
@@ -80,14 +86,15 @@ def _sweep(a: np.ndarray, tol_rank: float):
                 f"tol_rank={tol_rank:g}"
             )
         r[i, i] = nrm
-        q[:, i] = w / nrm
+        np.divide(w, nrm, out=q[:, i])
     return q, np.ldexp(r, exps)
 
 
 def _factor(alpha: InjectiveMap, tol_rank: float):
     """Run the sweep and check the frame once.
 
-    Returns ``(frame, r)`` with ``alpha = frame @ r`` within roundoff.
+    Returns ``(frame, r)`` with ``alpha = frame @ r`` within roundoff and r
+    the dense triangle, packed only by the callers that return it.
     """
     q, r = _sweep(alpha.matrix, tol_rank)
     defect = orthonormality_defect(q)
@@ -98,7 +105,7 @@ def _factor(alpha: InjectiveMap, tol_rank: float):
             f"(condition estimate {alpha.condition_estimate:.3e})"
         )
     q.setflags(write=False)
-    return StiefelFrame(matrix=q), UpperTriangularPositive.from_dense(r)
+    return StiefelFrame(matrix=q), r
 
 
 def orthonormalize(
@@ -119,7 +126,8 @@ def orthonormalize(
     1e-10 orthogonality tolerance, or when a coefficient lies outside the
     float range.
     """
-    frame, r = _factor(alpha, tol_rank)
+    frame, dense_r = _factor(alpha, tol_rank)
+    r = UpperTriangularPositive.from_dense(dense_r)
     try:
         coeff = tri_solve_inverse(r)
     except NonFiniteError as exc:
@@ -128,7 +136,10 @@ def orthonormalize(
             f"diagonal entry of R is {float(np.min(r.diagonal())):.3e}"
         ) from exc
     return GramSchmidtResult(
-        frame=frame, coefficient_matrix=coeff, intermediate_norms=r.diagonal()
+        frame=frame,
+        coefficient_matrix=coeff,
+        intermediate_norms=r.diagonal(),
+        triangular_factor=r,
     )
 
 
@@ -162,7 +173,8 @@ def qr_decompose(
     m, d = alpha.matrix.shape
     if m != d:
         raise DimensionError("qr requires a square matrix")
-    return _factor(alpha, tol_rank)
+    frame, r = _factor(alpha, tol_rank)
+    return frame, UpperTriangularPositive.from_dense(r)
 
 
 def householder_qr_oracle(

@@ -9,8 +9,11 @@ at t = 1 it lands on the Gram-Schmidt frame.
 Since alpha @ M = Q, the point at time t is (1 - t) * alpha + t * Q, and with
 R = M^-1 it equals Q @ ((1 - t) * R + t * I): a thin QR factorization whose
 d x d triangle has diagonal (1 - t) * r_ii + t > 0. The point's singular
-values are that triangle's, so ``trace_path`` certifies the rank of every
-sample with a d x d SVD rather than an m x d one.
+values are that triangle's, so every point is certified with a d x d SVD
+rather than an m x d one. ``homotopy_step`` (and ``check_equivariance``)
+form the point from the input and the sweep's frame and R, so t = 1 is the
+frame bit for bit and no interpolant is multiplied out. ``trace_path``
+forms its samples from one product alpha @ M, which is also its t = 1 point.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ from .errors import (
     RankDeficientError,
     ZeroVectorError,
 )
-from .gram_schmidt import coefficient_matrix
-from .matio import matrix_from_object, matrix_to_object, MatrixFormatError
+from .gram_schmidt import GramSchmidtResult, coefficient_matrix, orthonormalize
+from .matio import matrix_to_object
 
 
 @dataclass(frozen=True)
@@ -85,23 +88,35 @@ def interpolant(
     return _interpolate(coefficient_matrix(alpha, tol_rank), t)
 
 
-def _step(
-    alpha: InjectiveMap,
-    coeff: UpperTriangularPositive,
-    t: float,
-    tol_rank: float,
-) -> InjectiveMap:
-    if t == 0.0:
-        # Returning the input object keeps the t = 0 endpoint exact instead
-        # of tolerance-based.
-        return alpha
-    moved = alpha.matrix @ _interpolate(coeff, t).to_dense()
+def _certify(moved, r: np.ndarray, t: float, tol_rank: float) -> InjectiveMap:
+    """Validate ``moved`` = Q @ ((1 - t) * r + t * I) as a homotopy point.
+
+    Its rank certificate and condition estimate come from the d x d triangle;
+    a failure raises ``InternalRankLossError`` naming t.
+    """
     try:
-        return validate_injective(moved, tol_rank)
+        matrix = as_matrix(moved)
+        certificate = validate_injective(
+            (1.0 - t) * r + t * np.eye(r.shape[0]), tol_rank
+        )
     except (RankDeficientError, NonFiniteError) as exc:
         raise InternalRankLossError(
             f"homotopy point at t={t:g} failed revalidation: {exc}"
         ) from exc
+    return InjectiveMap(matrix=matrix, condition_estimate=certificate.condition_estimate)
+
+
+def _step(
+    alpha: InjectiveMap, res: GramSchmidtResult, t: float, tol_rank: float
+) -> InjectiveMap:
+    """The point (1 - t) * alpha + t * Q from ``alpha``'s orthonormalization."""
+    if t == 0.0:
+        # Returning the input object keeps the t = 0 endpoint exact instead
+        # of tolerance-based.
+        return alpha
+    frame = res.frame.matrix
+    moved = frame if t == 1.0 else (1.0 - t) * alpha.matrix + t * frame
+    return _certify(moved, res.triangular_factor.to_dense(), t, tol_rank)
 
 
 def homotopy_step(
@@ -109,15 +124,16 @@ def homotopy_step(
 ) -> InjectiveMap:
     """Deform ``alpha`` along the straight-line homotopy to time ``t``.
 
-    t = 0 returns ``alpha`` itself; t = 1 lands on the frame within the
-    orthogonality tolerance. The result is revalidated; failure raises
+    t = 0 returns ``alpha`` itself and t = 1 the Gram-Schmidt frame, bit for
+    bit. Other points are (1 - t) * alpha + t * frame, certified through the
+    d x d triangle (1 - t) * R + t * I; failure raises
     ``InternalRankLossError`` (not expected for condition estimates within
     the guaranteed regime).
     """
     t = _check_unit_interval(t)
     if t == 0.0:
         return alpha
-    return _step(alpha, coefficient_matrix(alpha, tol_rank), t, tol_rank)
+    return _step(alpha, orthonormalize(alpha, tol_rank), t, tol_rank)
 
 
 def sphere_interpolant(v, t: float, tol_rank: float = DEFAULT_TOL_RANK) -> np.ndarray:
@@ -164,7 +180,6 @@ def trace_path(
         raise InternalRankLossError(
             f"triangular factor R = M^-1 failed revalidation: {exc}"
         ) from exc
-    eye = np.eye(alpha.shape[1])
     samples = []
     for k in range(n):
         t = k / (n - 1)
@@ -174,16 +189,7 @@ def trace_path(
         else:
             # The t = 1 sample is alpha @ M itself, bit for bit.
             moved = end if k == n - 1 else (1.0 - t) * alpha.matrix + t * end
-            try:
-                matrix = as_matrix(moved)
-                certificate = validate_injective((1.0 - t) * r + t * eye, tol_rank)
-            except (RankDeficientError, NonFiniteError) as exc:
-                raise InternalRankLossError(
-                    f"homotopy point at t={t:g} failed revalidation: {exc}"
-                ) from exc
-            point = InjectiveMap(
-                matrix=matrix, condition_estimate=certificate.condition_estimate
-            )
+            point = _certify(moved, r, t, tol_rank)
         samples.append(
             PathSample(
                 t=t,
@@ -225,46 +231,6 @@ def path_to_csv(path: HomotopyPath) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_path_csv(text: str) -> list[dict]:
-    """Parse :func:`path_to_csv` output back into sample dicts with keys
-    t, point (matrix), min_diag, ortho_defect."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 2:
-        raise MatrixFormatError("path CSV needs a header and at least one row")
-    header = lines[0].split(",")
-    if header[0] != "t" or header[-2:] != ["min_diag", "ortho_defect"]:
-        raise MatrixFormatError("unrecognized path CSV header")
-    entry_names = header[1:-2]
-    rows = cols = 0
-    for name in entry_names:
-        try:
-            _, i, j = name.split("_")
-            rows = max(rows, int(i) + 1)
-            cols = max(cols, int(j) + 1)
-        except ValueError as exc:
-            raise MatrixFormatError(f"bad header field {name!r}") from exc
-    if rows * cols != len(entry_names):
-        raise MatrixFormatError("path CSV header does not cover a full matrix")
-    out = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != len(header):
-            raise MatrixFormatError(f"line {lineno}: ragged row")
-        try:
-            values = [float(p) for p in parts]
-        except ValueError as exc:
-            raise MatrixFormatError(f"line {lineno}: {exc}") from exc
-        out.append(
-            {
-                "t": values[0],
-                "point": np.array(values[1:-2]).reshape(rows, cols),
-                "min_diag": values[-2],
-                "ortho_defect": values[-1],
-            }
-        )
-    return out
-
-
 def path_to_json_obj(path: HomotopyPath) -> list[dict]:
     """JSON-ready array equivalent to the CSV: one object per sample with the
     point in the shared matrix format."""
@@ -277,24 +243,3 @@ def path_to_json_obj(path: HomotopyPath) -> list[dict]:
         }
         for s in path.samples
     ]
-
-
-def parse_path_json_obj(obj) -> list[dict]:
-    if not isinstance(obj, list) or not obj:
-        raise MatrixFormatError("path JSON must be a nonempty array")
-    out = []
-    for item in obj:
-        if not isinstance(item, dict):
-            raise MatrixFormatError("path JSON entries must be objects")
-        for key in ("t", "point", "min_diag", "ortho_defect"):
-            if key not in item:
-                raise MatrixFormatError(f"path JSON entry missing {key!r}")
-        out.append(
-            {
-                "t": float(item["t"]),
-                "point": matrix_from_object(item["point"]),
-                "min_diag": float(item["min_diag"]),
-                "ortho_defect": float(item["ortho_defect"]),
-            }
-        )
-    return out

@@ -90,10 +90,10 @@ def check_orthonormality(ctx: _Context):
 def check_homotopy_endpoints(ctx: _Context):
     worst = 0.0
     for alpha, res in ctx.family():
-        start = _step(alpha, res.coefficient_matrix, 0.0, DEFAULT_TOL_RANK)
+        start = _step(alpha, res, 0.0, DEFAULT_TOL_RANK)
         if start is not alpha or not np.array_equal(start.matrix, alpha.matrix):
             return False, "t=0 endpoint is not bit-identical to the source"
-        end = _step(alpha, res.coefficient_matrix, 1.0, DEFAULT_TOL_RANK)
+        end = _step(alpha, res, 1.0, DEFAULT_TOL_RANK)
         worst = max(worst, max_abs(end.matrix - res.frame.matrix))
     return worst <= 1e-10, f"max t=1 endpoint gap {worst:.3e} (tol 1e-10)"
 
@@ -102,15 +102,17 @@ def check_rank_along_path(ctx: _Context):
     worst_ratio = np.inf
     worst_diag = np.inf
     ts = np.linspace(0.0, 1.0, 101)
-    for alpha, res in ctx.family():
-        coeff = res.coefficient_matrix
-        d = coeff.dim
-        mts = (1.0 - ts)[:, None, None] * np.eye(d) + ts[:, None, None] * coeff.to_dense()
-        points = alpha.matrix @ mts
-        if not np.all(np.isfinite(points)):
+    for _, res in ctx.family():
+        # The point at time t is Q @ ((1 - t) R + t I) with Q orthonormal, so
+        # its singular values are those of the d x d triangle.
+        r = res.triangular_factor.to_dense()
+        eye = np.eye(r.shape[0])
+        triangles = (1.0 - ts)[:, None, None] * r + ts[:, None, None] * eye
+        if not np.isfinite(triangles).all():
             return False, "non-finite point along the path"
-        sv = np.linalg.svd(points, compute_uv=False)
+        sv = np.linalg.svd(triangles, compute_uv=False)
         worst_ratio = min(worst_ratio, float(np.min(sv[:, -1] / sv[:, 0])))
+        coeff = res.coefficient_matrix
         diag_mins = np.min(
             (1.0 - ts)[:, None] + ts[:, None] * coeff.diagonal()[None, :], axis=1
         )
@@ -350,11 +352,12 @@ def check_continuity(ctx: _Context):
     for _ in range(50):
         m, d = random_dims(rng, 32)
         alpha, _ = generate_injective(rng, m, d, max_condition=1e6)
-        coeff = coefficient_matrix(alpha)
+        res = orthonormalize(alpha)
+        coeff = res.coefficient_matrix
         bound = 2.0 * max_abs(alpha.matrix) * max_abs(coeff.to_dense() - np.eye(d))
         for t in np.linspace(0.0, 1.0 - h, 11):
-            step_a = _step(alpha, coeff, float(t), DEFAULT_TOL_RANK)
-            step_b = _step(alpha, coeff, float(t) + h, DEFAULT_TOL_RANK)
+            step_a = _step(alpha, res, float(t), DEFAULT_TOL_RANK)
+            step_b = _step(alpha, res, float(t) + h, DEFAULT_TOL_RANK)
             diff = max_abs(step_b.matrix - step_a.matrix)
             if diff > bound * h:
                 return False, (

@@ -155,6 +155,11 @@ class TestUpperTriangularPositive:
         with pytest.raises(DomainError):
             UpperTriangularPositive.from_dense(np.array([[1.0, 0.0], [0.1, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_lower_rejected(self, bad):
+        with pytest.raises(DomainError):
+            UpperTriangularPositive.from_dense(np.array([[1.0, 2.0], [bad, 3.0]]))
+
     def test_packed_length_checked(self):
         with pytest.raises(DimensionError):
             UpperTriangularPositive(dim=2, packed=np.array([1.0, 2.0]))

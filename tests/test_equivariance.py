@@ -8,11 +8,13 @@ from stiefel_retract import (
     act_on_frame,
     check_equivariance,
     coefficient_matrix,
+    interpolant,
     random_rotation,
     retract,
     validate_injective,
     validate_rotation,
 )
+from stiefel_retract import homotopy
 from stiefel_retract.core import max_abs
 from stiefel_retract.equivariance import DEFAULT_T_SAMPLES, report_to_json_obj
 from stiefel_retract.sampling import generate_injective, random_dims
@@ -119,6 +121,31 @@ class TestCheckEquivariance:
             ca = coefficient_matrix(alpha)
             cr = coefficient_matrix(act(o, alpha))
             assert max_abs(ca.packed - cr.packed) <= 1e-9
+
+    def test_t_one_defect_is_frame_defect(self):
+        # At t = 1 both homotopy points are the frames themselves.
+        rng = np.random.default_rng(43)
+        for _ in range(10):
+            m, d = random_dims(rng, 16)
+            alpha, _ = generate_injective(rng, m, d, max_condition=1e5)
+            o = random_rotation(m, int(rng.integers(0, 2**63)))
+            report = check_equivariance(alpha, o, DEFAULT_T_SAMPLES, tolerance=1e-9)
+            assert report.homotopy_defects[-1] == (1.0, report.frame_defect)
+
+    def test_multiplies_out_no_interpolant(self, monkeypatch):
+        calls = []
+        interpolate = homotopy._interpolate
+
+        def counted(coeff, t):
+            calls.append(t)
+            return interpolate(coeff, t)
+
+        monkeypatch.setattr(homotopy, "_interpolate", counted)
+        alpha, _ = generate_injective(np.random.default_rng(45), 6, 3)
+        check_equivariance(alpha, random_rotation(6, seed=2), DEFAULT_T_SAMPLES)
+        assert calls == []
+        interpolant(alpha, 0.5)
+        assert calls == [0.5]
 
     def test_unreachable_tolerance_fails(self):
         rng = np.random.default_rng(41)

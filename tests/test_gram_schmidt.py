@@ -174,6 +174,35 @@ class TestRetract:
             alpha = conditioned_injective(rng, m, d, condition)
             assert np.array_equal(retract(alpha).matrix, orthonormalize(alpha).frame.matrix)
 
+    def test_builds_no_triangle(self, monkeypatch):
+        # retract skips R's packing and the triangular inverse; counting their
+        # calls keeps that saving from coming back unnoticed.
+        from stiefel_retract import UpperTriangularPositive, core
+
+        calls = []
+        from_dense = UpperTriangularPositive.from_dense.__func__
+        inverse = core.tri_solve_inverse
+
+        def counted_from_dense(cls, dense):
+            calls.append("from_dense")
+            return from_dense(cls, dense)
+
+        def counted_inverse(u):
+            calls.append("tri_solve_inverse")
+            return inverse(u)
+
+        monkeypatch.setattr(
+            UpperTriangularPositive, "from_dense", classmethod(counted_from_dense)
+        )
+        monkeypatch.setattr(core, "tri_solve_inverse", counted_inverse)
+        monkeypatch.setattr(gram_schmidt, "tri_solve_inverse", counted_inverse)
+        rng = np.random.default_rng(24)
+        for m, d in ((3, 2), (6, 6), (16, 12)):
+            retract(conditioned_injective(rng, m, d, 1e3))
+        assert calls == []
+        coefficient_matrix(conditioned_injective(rng, 6, 3, 1e3))
+        assert calls.count("from_dense") == 2 and calls.count("tri_solve_inverse") == 1
+
     def test_positive_column_scaling_ignored(self):
         rng = np.random.default_rng(12)
         for _ in range(10):
@@ -270,6 +299,15 @@ class TestQrDecompose:
     def test_rectangular_rejected(self):
         with pytest.raises(DimensionError, match="square"):
             qr_decompose(validate_injective(np.eye(3)[:, :2]))
+
+    def test_r_is_the_triangular_factor(self):
+        rng = np.random.default_rng(20)
+        for m in (1, 4, 12):
+            alpha = conditioned_injective(rng, m, m, 1e4)
+            _, r = qr_decompose(alpha)
+            res = orthonormalize(alpha)
+            assert np.array_equal(res.triangular_factor.packed, r.packed)
+            assert np.array_equal(res.triangular_factor.diagonal(), res.intermediate_norms)
 
     def test_agrees_with_oracle_across_sizes(self):
         rng = np.random.default_rng(18)

@@ -21,12 +21,8 @@ from stiefel_retract import (
 )
 from stiefel_retract import homotopy
 from stiefel_retract.core import max_abs
-from stiefel_retract.homotopy import (
-    parse_path_csv,
-    parse_path_json_obj,
-    path_to_csv,
-    path_to_json_obj,
-)
+from stiefel_retract.homotopy import path_to_csv, path_to_json_obj
+from stiefel_retract.matio import MatrixFormatError, matrix_from_object
 from stiefel_retract.sampling import (
     conditioned_injective,
     generate_injective,
@@ -34,6 +30,67 @@ from stiefel_retract.sampling import (
 )
 
 HAND_INPUT = np.array([[2.0, 1.0], [0.0, 3.0]])
+
+
+def parse_path_csv(text: str) -> list[dict]:
+    """Parse :func:`path_to_csv` output back into sample dicts with keys
+    t, point (matrix), min_diag, ortho_defect."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if len(lines) < 2:
+        raise MatrixFormatError("path CSV needs a header and at least one row")
+    header = lines[0].split(",")
+    if header[0] != "t" or header[-2:] != ["min_diag", "ortho_defect"]:
+        raise MatrixFormatError("unrecognized path CSV header")
+    entry_names = header[1:-2]
+    rows = cols = 0
+    for name in entry_names:
+        try:
+            _, i, j = name.split("_")
+            rows = max(rows, int(i) + 1)
+            cols = max(cols, int(j) + 1)
+        except ValueError as exc:
+            raise MatrixFormatError(f"bad header field {name!r}") from exc
+    if rows * cols != len(entry_names):
+        raise MatrixFormatError("path CSV header does not cover a full matrix")
+    out = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        if len(parts) != len(header):
+            raise MatrixFormatError(f"line {lineno}: ragged row")
+        try:
+            values = [float(p) for p in parts]
+        except ValueError as exc:
+            raise MatrixFormatError(f"line {lineno}: {exc}") from exc
+        out.append(
+            {
+                "t": values[0],
+                "point": np.array(values[1:-2]).reshape(rows, cols),
+                "min_diag": values[-2],
+                "ortho_defect": values[-1],
+            }
+        )
+    return out
+
+
+def parse_path_json_obj(obj) -> list[dict]:
+    if not isinstance(obj, list) or not obj:
+        raise MatrixFormatError("path JSON must be a nonempty array")
+    out = []
+    for item in obj:
+        if not isinstance(item, dict):
+            raise MatrixFormatError("path JSON entries must be objects")
+        for key in ("t", "point", "min_diag", "ortho_defect"):
+            if key not in item:
+                raise MatrixFormatError(f"path JSON entry missing {key!r}")
+        out.append(
+            {
+                "t": float(item["t"]),
+                "point": matrix_from_object(item["point"]),
+                "min_diag": float(item["min_diag"]),
+                "ortho_defect": float(item["ortho_defect"]),
+            }
+        )
+    return out
 
 
 class TestInterpolant:
@@ -108,6 +165,55 @@ class TestHomotopyStep:
     def test_out_of_interval_rejected(self, t):
         with pytest.raises(DomainError):
             homotopy_step(validate_injective(HAND_INPUT), t)
+
+
+def _seeded_maps():
+    rng = np.random.default_rng(46)
+    for condition in (1.0, 1e2, 1e4, 1e5, 9e5):
+        for _ in range(4):
+            m, d = random_dims(rng, 24)
+            yield conditioned_injective(rng, m, d, condition)
+
+
+class TestStraightLineStep:
+    def test_t_one_is_retract_bit_for_bit(self):
+        for alpha in _seeded_maps():
+            assert np.array_equal(homotopy_step(alpha, 1.0).matrix, retract(alpha).matrix)
+
+    def test_condition_estimate_matches_svd_of_point(self):
+        # The d x d certificate against an m x d SVD of the returned point.
+        for alpha in _seeded_maps():
+            for t in (0.25, 0.5, 0.9, 1.0):
+                point = homotopy_step(alpha, t)
+                sv = np.linalg.svd(point.matrix, compute_uv=False)
+                expected = sv[0] / sv[-1]
+                assert abs(point.condition_estimate - expected) <= 1e-8 * expected
+
+    def test_multiplies_out_no_interpolant(self, monkeypatch):
+        calls = []
+        interpolate = homotopy._interpolate
+
+        def counted(coeff, t):
+            calls.append(t)
+            return interpolate(coeff, t)
+
+        monkeypatch.setattr(homotopy, "_interpolate", counted)
+        alpha = validate_injective(HAND_INPUT)
+        for t in (0.0, 0.5, 1.0):
+            homotopy_step(alpha, t)
+        assert calls == []
+        interpolant(alpha, 0.5)
+        assert calls == [0.5]
+
+    @pytest.mark.parametrize("error", [RankDeficientError, NonFiniteError])
+    def test_certificate_failure_names_t(self, monkeypatch, error):
+        def refuse(raw, tol_rank):
+            raise error("injected")
+
+        alpha = validate_injective(HAND_INPUT)
+        monkeypatch.setattr(homotopy, "validate_injective", refuse)
+        with pytest.raises(InternalRankLossError, match=r"t=0\.5 failed revalidation: injected"):
+            homotopy_step(alpha, 0.5)
 
 
 class TestSphereInterpolant:
