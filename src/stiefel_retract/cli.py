@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 property failure, 2 parse error, 3 rank failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -93,8 +94,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # Building the parser costs more than most subcommands on small inputs;
+    # parse_args keeps no state between calls, so one parser serves them all.
+    return build_parser()
+
+
 def parse_config(argv) -> argparse.Namespace:
-    parser = build_parser()
+    parser = _shared_parser()
     ns = parser.parse_args(argv)
     if ns.seed is not None and ns.seed < 0:
         parser.error("--seed must be non-negative")

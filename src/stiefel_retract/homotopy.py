@@ -30,6 +30,7 @@ from .core import (
     UpperTriangularPositive,
     _triangle_layout,
     as_matrix,
+    include_frame,
     orthonormality_defect,
     tri_solve_inverse,
     validate_injective,
@@ -114,8 +115,10 @@ def _step(
         # Returning the input object keeps the t = 0 endpoint exact instead
         # of tolerance-based.
         return alpha
-    frame = res.frame.matrix
-    moved = frame if t == 1.0 else (1.0 - t) * alpha.matrix + t * frame
+    if t == 1.0:
+        # The certificate would be the SVD of the identity, which cannot fail.
+        return include_frame(res.frame)
+    moved = (1.0 - t) * alpha.matrix + t * res.frame.matrix
     return _certify(moved, res.triangular_factor.to_dense(), t, tol_rank)
 
 
@@ -125,10 +128,10 @@ def homotopy_step(
     """Deform ``alpha`` along the straight-line homotopy to time ``t``.
 
     t = 0 returns ``alpha`` itself and t = 1 the Gram-Schmidt frame, bit for
-    bit. Other points are (1 - t) * alpha + t * frame, certified through the
-    d x d triangle (1 - t) * R + t * I; failure raises
-    ``InternalRankLossError`` (not expected for condition estimates within
-    the guaranteed regime).
+    bit, with condition estimate exactly 1. Other points are
+    (1 - t) * alpha + t * frame, certified through the d x d triangle
+    (1 - t) * R + t * I; failure raises ``InternalRankLossError`` (not
+    expected for condition estimates within the guaranteed regime).
     """
     t = _check_unit_interval(t)
     if t == 0.0:

@@ -317,6 +317,47 @@ class TestDeterminism:
             assert payloads[0] == payloads[1]
 
 
+class TestParserReuse:
+    def test_tolerance_default_survives_an_override(self, capsys):
+        argv = ["check", "--dims", "6x2", "--batch", "2", "--seed", "3"]
+        assert run([*argv, "--tolerance", "1e-30"]) == 1
+        assert run(argv) == 0
+        assert capsys.readouterr().out.endswith("passed 2/2\n")
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ["check", "--dims", "4by2", "--seed", "1"],
+            ["check", "--dims", "4x2", "--seed", "1", "--batch", "0"],
+            ["path", "--dims", "4x2", "--seed", "1", "--steps", "1"],
+        ],
+    )
+    def test_rejected_call_leaves_parser_usable(self, bad, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run(bad)
+        assert excinfo.value.code == 2
+        assert run(["check", "--dims", "4x2", "--seed", "1"]) == 0
+        assert capsys.readouterr().out.endswith("passed 1/1\n")
+
+    def test_parser_built_at_most_once(self, monkeypatch, capsys):
+        built = []
+        real = cli.build_parser
+
+        def counted():
+            built.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        for argv in (
+            ["retract", "--dims", "3x2", "--seed", "1"],
+            ["qr", "--dims", "3x3", "--seed", "2"],
+            ["check", "--dims", "3x2", "--seed", "3"],
+        ):
+            assert run(argv) == 0
+        assert len(built) <= 1
+        assert cli.build_parser() is not cli.build_parser()
+
+
 class TestSelftest:
     def test_fault_injection_fails_orthonormality_row(self, tmp_path, capsys, monkeypatch):
         real_sweep = gram_schmidt._sweep

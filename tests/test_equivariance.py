@@ -15,7 +15,7 @@ from stiefel_retract import (
     validate_rotation,
 )
 from stiefel_retract import homotopy
-from stiefel_retract.core import max_abs
+from stiefel_retract.core import max_abs, orthonormality_defect
 from stiefel_retract.equivariance import DEFAULT_T_SAMPLES, report_to_json_obj
 from stiefel_retract.sampling import generate_injective, random_dims
 
@@ -40,6 +40,51 @@ class TestRandomRotation:
     def test_bad_dimension_rejected(self):
         with pytest.raises(DomainError):
             random_rotation(0, seed=1)
+
+    @pytest.mark.parametrize("m", range(1, 17))
+    def test_is_sign_fixed_lapack_q(self, m):
+        for seed in (0, 1, 7, 2**62 + 3):
+            q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((m, m)))
+            signs = np.sign(np.diagonal(r))
+            q = q * np.where(signs == 0.0, 1.0, signs)
+            if np.linalg.det(q) < 0.0:
+                q[:, -1] = -q[:, -1]
+            assert random_rotation(m, seed).matrix.tobytes() == np.asfortranarray(q).tobytes()
+
+    def test_orthogonal_with_unit_determinant(self):
+        for m in range(1, 33):
+            for seed in range(5):
+                rot = random_rotation(m, seed).matrix
+                assert orthonormality_defect(rot) <= 1e-14
+                assert abs(np.linalg.det(rot) - 1.0) <= 1e-12
+
+    def test_independent_of_the_sweep(self, monkeypatch):
+        # The rotation checks the sweep's equivariance, so it must not be
+        # built by the sweep or gated by the rank validator.
+        from stiefel_retract import core, equivariance, gram_schmidt
+
+        def refuse(*args):
+            raise AssertionError("the Gram-Schmidt sweep ran")
+
+        calls = []
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(gram_schmidt, "_sweep", refuse)
+        for module in (core, gram_schmidt, equivariance):
+            for name in ("validate_injective", "qr_decompose"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        for m in (1, 2, 6, 16):
+            random_rotation(m, seed=m)
+        assert calls == []
+        equivariance.act(random_rotation(3, seed=1), validate_injective(np.eye(3)[:, :2]))
+        assert calls == ["validate_injective"]
 
 
 class TestAct:

@@ -9,10 +9,12 @@ from stiefel_retract import (
     NonFiniteError,
     RankDeficientError,
     ZeroVectorError,
+    check_equivariance,
     coefficient_matrix,
     homotopy_step,
     include_frame,
     interpolant,
+    random_rotation,
     retract,
     sphere_interpolant,
     trace_path,
@@ -213,6 +215,22 @@ class TestStraightLineStep:
         alpha = validate_injective(HAND_INPUT)
         monkeypatch.setattr(homotopy, "validate_injective", refuse)
         with pytest.raises(InternalRankLossError, match=r"t=0\.5 failed revalidation: injected"):
+            homotopy_step(alpha, 0.5)
+
+    def test_t_one_needs_no_certificate(self, monkeypatch):
+        # At t = 1 the triangle is I, so the point is the frame with
+        # condition 1 exactly and no SVD runs.
+        def refuse(raw, tol_rank):
+            raise RankDeficientError("injected")
+
+        alpha = validate_injective(HAND_INPUT)
+        monkeypatch.setattr(homotopy, "validate_injective", refuse)
+        point = homotopy_step(alpha, 1.0)
+        assert point.condition_estimate == 1.0
+        assert np.array_equal(point.matrix, retract(alpha).matrix)
+        report = check_equivariance(alpha, random_rotation(2, seed=4), (1.0,))
+        assert report.passed
+        with pytest.raises(InternalRankLossError, match=r"t=0\.5 failed revalidation"):
             homotopy_step(alpha, 0.5)
 
 
