@@ -2,7 +2,7 @@
 
 Subcommands: ``retract`` (orthonormalize a matrix), ``path`` (sample the
 homotopy), ``qr`` (positive-diagonal QR), ``check`` (equivariance reports)
-and ``selftest`` (the full invariant suite). Matrices are read and written in
+and ``selftest`` (the acceptance criteria). Matrices are read and written in
 the shared JSON/CSV formats with round-trip-exact numbers.
 
 Exit codes: 0 success, 1 property failure, 2 parse error, 3 rank failure,
@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     check = add_io(sub.add_parser("check", help="equivariance reports"))
     check.add_argument("--tolerance", type=float, default=1e-9)
     check.add_argument("--batch", type=int, default=1)
-    st = sub.add_parser("selftest", help="run the full invariant suite")
+    st = sub.add_parser("selftest", help="run the acceptance criteria")
     st.add_argument("--seed", type=int)
     return parser
 

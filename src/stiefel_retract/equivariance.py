@@ -93,7 +93,12 @@ def check_equivariance(
     frame defect: retract(o @ alpha) vs o @ retract(alpha);
     coefficient defect: the coefficient matrices of both (invariant);
     homotopy defects: the same comparison at each requested time.
-    ``passed`` is true when every defect is at most ``tolerance``.
+    The defects are absolute. ``passed`` judges each against the size of
+    what it compares: the frame defect against ``tolerance``, the
+    coefficient defect against ``tolerance * max(1, max|M|)`` with M the
+    coefficient matrix of ``alpha``, and the defect at time t against
+    ``tolerance * max(1, (1 - t) max|alpha| + t)``, which bounds the entries
+    of the point (1 - t) alpha + t Q.
     """
     ts = [float(t) for t in t_samples]
     if not ts:
@@ -117,12 +122,21 @@ def check_equivariance(
         homotopy_defects.append(
             (t, max_abs(left.matrix - o.matrix @ right.matrix))
         )
-    defects = [frame_defect, coefficient_defect] + [d for _, d in homotopy_defects]
+    coeff_scale = max(1.0, max_abs(base.coefficient_matrix.packed))
+    input_scale = max_abs(alpha.matrix)
+    passed = (
+        frame_defect <= tolerance
+        and coefficient_defect <= tolerance * coeff_scale
+        and all(
+            d <= tolerance * max(1.0, (1.0 - t) * input_scale + t)
+            for t, d in homotopy_defects
+        )
+    )
     return EquivarianceReport(
         frame_defect=frame_defect,
         coefficient_defect=coefficient_defect,
         homotopy_defects=tuple(homotopy_defects),
-        passed=all(d <= tolerance for d in defects),
+        passed=passed,
     )
 
 

@@ -1,9 +1,10 @@
-"""Seeded invariant suite run by the CLI ``selftest`` subcommand.
+"""The paper's acceptance criteria, run by the CLI ``selftest`` subcommand.
 
-Each check exercises one documented property of the library on seeded random
-families and reports a single pass/fail row. The acceptance-grade checks
-(``criterion-*``) pin the headline guarantees; the remaining rows cover the
-per-module invariants. Everything is deterministic given the master seed.
+Each check pins one headline guarantee on seeded random families and reports
+a single pass/fail row: Gram-Schmidt maps injective maps onto the Stiefel
+manifold, the straight-line homotopy stays injective and fixes frames, and
+the construction commutes with rotations. Per-module invariants are tested
+in ``tests/``. Everything is deterministic given the master seed.
 """
 
 from __future__ import annotations
@@ -16,21 +17,12 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL_RANK,
-    UpperTriangularPositive,
     include_frame,
     max_abs,
     orthonormality_defect,
-    tri_solve_inverse,
-    validate_frame,
     validate_injective,
-    validate_rotation,
 )
-from .equivariance import (
-    DEFAULT_T_SAMPLES,
-    act,
-    check_equivariance,
-    random_rotation,
-)
+from .equivariance import DEFAULT_T_SAMPLES, check_equivariance, random_rotation
 from .gram_schmidt import (
     coefficient_matrix,
     householder_qr_oracle,
@@ -38,7 +30,7 @@ from .gram_schmidt import (
     qr_decompose,
     retract,
 )
-from .homotopy import _interpolate, _step, homotopy_step, sphere_interpolant, trace_path
+from .homotopy import _step, homotopy_step, sphere_interpolant, trace_path
 from .sampling import generate_injective, random_dims
 
 DEFAULT_SEED = 1729
@@ -74,10 +66,6 @@ class _Context:
                 members.append((alpha, orthonormalize(alpha)))
             self._cache["family"] = members
         return self._cache["family"]
-
-
-# ---------------------------------------------------------------------------
-# acceptance-grade checks
 
 
 def check_orthonormality(ctx: _Context):
@@ -208,7 +196,9 @@ def check_equivariance_suite(ctx: _Context):
             report.coefficient_defect,
             max(dd for _, dd in report.homotopy_defects),
         )
-        if not report.passed:
+        # The report's verdict scales with the input; this row keeps the
+        # absolute 1e-9 bound on every defect.
+        if worst > 1e-9:
             return False, f"defect {worst:.3e} exceeded 1e-9"
     return True, f"max defect {worst:.3e} over 500 rotation pairs (tol 1e-9)"
 
@@ -229,192 +219,6 @@ def check_hand_case(ctx: _Context):
     return worst <= 1e-14, f"max hand-case gap {worst:.3e} (tol 1e-14)"
 
 
-# ---------------------------------------------------------------------------
-# matrix-core invariants
-
-
-def check_gram_cholesky(ctx: _Context):
-    rng = ctx.rng("gram")
-    for _ in range(50):
-        m, d = random_dims(rng, 64)
-        alpha, _ = generate_injective(rng, m, d)
-        try:
-            np.linalg.cholesky(alpha.matrix.T @ alpha.matrix)
-        except np.linalg.LinAlgError:
-            return False, f"Gram matrix of an accepted {m}x{d} map is not SPD"
-    return True, "Cholesky succeeded on 50 accepted Gram matrices"
-
-
-def check_include_frame_identity(ctx: _Context):
-    rng = ctx.rng("include")
-    for _ in range(50):
-        m, d = random_dims(rng, 32)
-        alpha, _ = generate_injective(rng, m, d, max_condition=1e6)
-        frame = retract(alpha)
-        back = include_frame(frame)
-        if not np.array_equal(back.matrix, frame.matrix):
-            return False, "inclusion changed matrix entries"
-        if back.condition_estimate != 1.0:
-            return False, "inclusion did not set condition estimate to 1"
-    return True, "inclusion is entrywise the identity on 50 frames"
-
-
-def check_tri_inverse_involution(ctx: _Context):
-    # Off-diagonals are scaled by the row diagonal: with absolute-scale
-    # off-diagonals and tiny diagonals the inverse's entries grow
-    # geometrically and no double-inversion bound can hold.
-    rng = ctx.rng("triangle")
-    worst = 0.0
-    for _ in range(50):
-        d = int(rng.integers(1, 65))
-        diag = 10.0 ** rng.uniform(-3.0, 3.0, size=d)
-        noise = np.triu(rng.uniform(-0.25, 0.25, size=(d, d)), k=1)
-        u = UpperTriangularPositive.from_dense(
-            np.triu(diag[:, None] * (np.eye(d) + noise))
-        )
-        again = tri_solve_inverse(tri_solve_inverse(u))
-        worst = max(worst, max_abs(again.packed - u.packed))
-    return worst <= 1e-12, f"max double-inverse drift {worst:.3e} (tol 1e-12)"
-
-
-def check_frame_round_trip(ctx: _Context):
-    rng = ctx.rng("roundtrip")
-    for _ in range(50):
-        m, d = random_dims(rng, 32)
-        alpha, _ = generate_injective(rng, m, d, max_condition=1e6)
-        frame = retract(alpha)
-        validate_frame(include_frame(frame).matrix)
-    return True, "re-validation succeeded for 50 included frames"
-
-
-# ---------------------------------------------------------------------------
-# gram-schmidt invariants
-
-
-def check_reconstruction(ctx: _Context):
-    worst = 0.0
-    for alpha, res in ctx.family():
-        worst = max(
-            worst,
-            max_abs(alpha.matrix @ res.coefficient_matrix.to_dense() - res.frame.matrix),
-        )
-    return worst <= 1e-10, f"max reconstruction gap {worst:.3e} over 1000 maps (tol 1e-10)"
-
-
-def check_triangular_positivity(ctx: _Context):
-    for _, res in ctx.family():
-        coeff = res.coefficient_matrix
-        if not np.all(coeff.diagonal() > 0.0):
-            return False, "coefficient diagonal not strictly positive"
-        dense = coeff.to_dense()
-        if np.any(dense[np.tril_indices(coeff.dim, k=-1)] != 0.0):
-            return False, "strict lower triangle not identically zero"
-    return True, "positive diagonal and zero lower triangle on 1000 coefficient matrices"
-
-
-def check_right_triangular_invariance(ctx: _Context):
-    rng = ctx.rng("right-triangular")
-    worst = 0.0
-    for _ in range(100):
-        m, d = random_dims(rng, 32)
-        alpha, _ = generate_injective(rng, m, d, max_condition=1e4)
-        dense = np.triu(rng.uniform(-0.5, 0.5, size=(d, d)), k=1)
-        dense[np.diag_indices(d)] = 10.0 ** rng.uniform(-1.0, 1.0, size=d)
-        t = UpperTriangularPositive.from_dense(dense)
-        scaled = validate_injective(alpha.matrix @ t.to_dense())
-        worst = max(worst, max_abs(retract(scaled).matrix - retract(alpha).matrix))
-    return worst <= 1e-9, f"max frame drift {worst:.3e} under triangular scaling (tol 1e-9)"
-
-
-# ---------------------------------------------------------------------------
-# homotopy invariants
-
-
-def check_interpolant_linearity(ctx: _Context):
-    rng = ctx.rng("linearity")
-    for _ in range(50):
-        m, d = random_dims(rng, 32)
-        alpha, _ = generate_injective(rng, m, d, max_condition=1e6)
-        coeff = coefficient_matrix(alpha)
-        eye_packed = UpperTriangularPositive.from_dense(np.eye(d)).packed
-        for t in (0.125, float(rng.uniform(0.0, 1.0)), 0.875):
-            lhs = (1.0 - t) * eye_packed + t * coeff.packed
-            rhs = _interpolate(coeff, t).packed
-            scale = max(1.0, max_abs(rhs))
-            if max_abs(lhs - rhs) > 4e-16 * scale:
-                return False, f"interpolant deviates from linearity at t={t}"
-    return True, "interpolant is entrywise linear in t up to ulp-scale roundoff"
-
-
-def check_continuity(ctx: _Context):
-    rng = ctx.rng("continuity")
-    h = 1e-3
-    for _ in range(50):
-        m, d = random_dims(rng, 32)
-        alpha, _ = generate_injective(rng, m, d, max_condition=1e6)
-        res = orthonormalize(alpha)
-        coeff = res.coefficient_matrix
-        bound = 2.0 * max_abs(alpha.matrix) * max_abs(coeff.to_dense() - np.eye(d))
-        for t in np.linspace(0.0, 1.0 - h, 11):
-            step_a = _step(alpha, res, float(t), DEFAULT_TOL_RANK)
-            step_b = _step(alpha, res, float(t) + h, DEFAULT_TOL_RANK)
-            diff = max_abs(step_b.matrix - step_a.matrix)
-            if diff > bound * h:
-                return False, (
-                    f"step of size {diff:.3e} exceeds {bound * h:.3e} at t={t:.2f}"
-                )
-    return True, f"finite-difference steps stayed within 2*|input|*|coeff-I|*h for h={h:g}"
-
-
-# ---------------------------------------------------------------------------
-# equivariance invariants
-
-
-def check_interpolant_invariance(ctx: _Context):
-    rng = ctx.rng("interp-invariance")
-    worst = 0.0
-    for _ in range(50):
-        m, d = random_dims(rng, 32)
-        alpha, _ = generate_injective(rng, m, d, max_condition=1e4)
-        o = random_rotation(m, int(rng.integers(0, 2**63)))
-        rotated = act(o, alpha)
-        ca = coefficient_matrix(alpha)
-        cr = coefficient_matrix(rotated)
-        for t in DEFAULT_T_SAMPLES:
-            worst = max(
-                worst, max_abs(_interpolate(cr, t).packed - _interpolate(ca, t).packed)
-            )
-    return worst <= 1e-9, f"max interpolant drift under rotation {worst:.3e} (tol 1e-9)"
-
-
-def check_haar_moment(ctx: _Context):
-    rng = ctx.rng("haar")
-    base = int(rng.integers(0, 2**32))
-    count = 10_000
-    entries = [random_rotation(4, base + i).matrix[0, 0] for i in range(count)]
-    mean = float(np.mean(entries))
-    return abs(mean) <= 0.05, f"mean first entry {mean:+.4f} over {count} rotations (tol 0.05)"
-
-
-def check_group_action(ctx: _Context):
-    rng = ctx.rng("group")
-    worst = 0.0
-    for _ in range(50):
-        m, d = random_dims(rng, 16)
-        alpha, _ = generate_injective(rng, m, d, max_condition=1e6)
-        identity = validate_rotation(np.eye(m))
-        if not np.array_equal(act(identity, alpha).matrix, alpha.matrix):
-            return False, "identity rotation does not act trivially"
-        o1 = random_rotation(m, int(rng.integers(0, 2**63)))
-        o2 = random_rotation(m, int(rng.integers(0, 2**63)))
-        composed = validate_rotation(o1.matrix @ o2.matrix)
-        worst = max(
-            worst,
-            max_abs(act(o1, act(o2, alpha)).matrix - act(composed, alpha).matrix),
-        )
-    return worst <= 1e-12, f"max composition gap {worst:.3e} over 50 draws (tol 1e-12)"
-
-
 REGISTRY = [
     ("criterion-1-orthonormality", check_orthonormality),
     ("criterion-2-homotopy-endpoints", check_homotopy_endpoints),
@@ -424,27 +228,13 @@ REGISTRY = [
     ("criterion-6-sphere-closed-form", check_sphere_closed_form),
     ("criterion-7-equivariance-suite", check_equivariance_suite),
     ("criterion-8-hand-case", check_hand_case),
-    ("core-gram-cholesky", check_gram_cholesky),
-    ("core-include-frame-identity", check_include_frame_identity),
-    ("core-tri-inverse-involution", check_tri_inverse_involution),
-    ("core-frame-round-trip", check_frame_round_trip),
-    ("gs-reconstruction", check_reconstruction),
-    ("gs-triangular-positivity", check_triangular_positivity),
-    ("gs-right-triangular-invariance", check_right_triangular_invariance),
-    ("homotopy-interpolant-linearity", check_interpolant_linearity),
-    ("homotopy-continuity", check_continuity),
-    ("equiv-interpolant-invariance", check_interpolant_invariance),
-    ("equiv-haar-moment", check_haar_moment),
-    ("equiv-group-action", check_group_action),
 ]
 
 
-def run_all(seed: int = DEFAULT_SEED, names=None) -> list[CheckResult]:
+def run_all(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     ctx = _Context(seed)
     results = []
     for name, fn in REGISTRY:
-        if names is not None and name not in names:
-            continue
         start = perf_counter()
         try:
             passed, detail = fn(ctx)

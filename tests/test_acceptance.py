@@ -60,6 +60,12 @@ def test_criterion(selftest_run, number, name, budget):
         )
 
 
+def test_selftest_runs_only_the_criteria(selftest_run):
+    proc, _, rows = selftest_run
+    assert list(rows) == [name for _, name, _ in CRITERIA], proc.stdout
+    assert proc.stdout.splitlines()[-1] == f"passed {len(CRITERIA)}/{len(CRITERIA)} checks"
+
+
 def test_criterion_9_selftest_under_a_minute(selftest_run):
     proc, elapsed, _ = selftest_run
     status = "PASS" if proc.returncode == 0 and elapsed < 60.0 else "FAIL"

@@ -18,7 +18,7 @@ from stiefel_retract.matio import (
     parse_matrix_blocks_csv,
     parse_matrix_csv,
 )
-from stiefel_retract.sampling import generate_injective
+from stiefel_retract.sampling import conditioned_injective, generate_injective
 
 
 def run(args):
@@ -225,6 +225,15 @@ class TestCheck:
         src.write_text(format_matrix_json(alpha.matrix))
         assert run(["check", "--input", str(src), "--seed", "4", "--batch", "2"]) == 0
         assert "passed 2/2" in capsys.readouterr().out
+
+    def test_ill_conditioned_input_passes(self, tmp_path, capsys):
+        # Condition 1e4: the coefficient defect reaches about 1e-9 in absolute
+        # terms while max|M| is about 5e3; relative to that it is at roundoff.
+        src = tmp_path / "a.json"
+        alpha = conditioned_injective(np.random.default_rng(0), 12, 6, 1e4)
+        src.write_text(format_matrix_json(alpha.matrix))
+        assert run(["check", "--input", str(src), "--batch", "3", "--seed", "1"]) == 0
+        assert capsys.readouterr().out.endswith("passed 3/3\n")
 
     def test_rank_deficient_input_exits_3_before_any_report(self, tmp_path, capsys):
         src = tmp_path / "bad.csv"

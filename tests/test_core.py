@@ -13,6 +13,7 @@ from stiefel_retract import (
     RankDeficientError,
     UpperTriangularPositive,
     include_frame,
+    retract,
     tri_solve_inverse,
     validate_frame,
     validate_injective,
@@ -74,8 +75,8 @@ class TestValidateInjective:
 
     def test_gram_matrix_positive_definite(self):
         rng = np.random.default_rng(3)
-        for _ in range(20):
-            m, d = random_dims(rng, 24)
+        for _ in range(50):
+            m, d = random_dims(rng, 64)
             alpha, _ = generate_injective(rng, m, d)
             np.linalg.cholesky(alpha.matrix.T @ alpha.matrix)
 
@@ -107,13 +108,18 @@ class TestIncludeFrame:
         alpha = include_frame(frame)
         assert np.array_equal(alpha.matrix, frame.matrix)
         assert alpha.condition_estimate == 1.0
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            m, d = random_dims(rng, 32)
+            frame = retract(generate_injective(rng, m, d, max_condition=1e6)[0])
+            alpha = include_frame(frame)
+            assert np.array_equal(alpha.matrix, frame.matrix)
+            assert alpha.condition_estimate == 1.0
 
     def test_round_trip_revalidates(self):
         rng = np.random.default_rng(11)
-        from stiefel_retract import retract
-
-        for _ in range(10):
-            m, d = random_dims(rng, 16)
+        for _ in range(50):
+            m, d = random_dims(rng, 32)
             alpha, _ = generate_injective(rng, m, d, max_condition=1e6)
             frame = retract(alpha)
             validate_frame(include_frame(frame).matrix)
@@ -189,7 +195,7 @@ class TestTriSolveInverse:
         v = tri_solve_inverse(UpperTriangularPositive.from_dense(dense))
         assert np.array_equal(v.diagonal(), 1.0 / diag)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=50, deadline=None)
     @given(dim=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
     def test_involution_property(self, dim, seed):
         # Diagonals span [1e-3, 1e3]; off-diagonals scale with the row

@@ -17,7 +17,11 @@ from stiefel_retract import (
 from stiefel_retract import homotopy
 from stiefel_retract.core import max_abs, orthonormality_defect
 from stiefel_retract.equivariance import DEFAULT_T_SAMPLES, report_to_json_obj
-from stiefel_retract.sampling import generate_injective, random_dims
+from stiefel_retract.sampling import (
+    conditioned_injective,
+    generate_injective,
+    random_dims,
+)
 
 ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -57,6 +61,13 @@ class TestRandomRotation:
                 rot = random_rotation(m, seed).matrix
                 assert orthonormality_defect(rot) <= 1e-14
                 assert abs(np.linalg.det(rot) - 1.0) <= 1e-12
+
+    def test_first_moment_vanishes(self):
+        # Haar measure is invariant under negating a row, so every entry has
+        # mean zero; entry [0, 0] of a 4 x 4 rotation has standard deviation
+        # 1/2, so the mean of 10 000 draws sits within 0.05 at 10 sigma.
+        mean = np.mean([random_rotation(4, seed).matrix[0, 0] for seed in range(10_000)])
+        assert abs(mean) <= 0.05
 
     def test_independent_of_the_sweep(self, monkeypatch):
         # The rotation checks the sweep's equivariance, so it must not be
@@ -100,9 +111,11 @@ class TestAct:
 
     def test_composition_law(self):
         rng = np.random.default_rng(33)
-        for _ in range(10):
+        for _ in range(50):
             m, d = random_dims(rng, 16)
             alpha, _ = generate_injective(rng, m, d, max_condition=1e6)
+            identity = validate_rotation(np.eye(m))
+            assert np.array_equal(act(identity, alpha).matrix, alpha.matrix)
             o1 = random_rotation(m, int(rng.integers(0, 2**63)))
             o2 = random_rotation(m, int(rng.integers(0, 2**63)))
             composed = validate_rotation(o1.matrix @ o2.matrix)
@@ -159,13 +172,17 @@ class TestCheckEquivariance:
 
     def test_coefficient_invariance_direct(self):
         rng = np.random.default_rng(39)
-        for _ in range(10):
-            m, d = random_dims(rng, 16)
+        for _ in range(50):
+            m, d = random_dims(rng, 32)
             alpha, _ = generate_injective(rng, m, d, max_condition=1e4)
             o = random_rotation(m, int(rng.integers(0, 2**63)))
+            rotated = act(o, alpha)
             ca = coefficient_matrix(alpha)
-            cr = coefficient_matrix(act(o, alpha))
+            cr = coefficient_matrix(rotated)
             assert max_abs(ca.packed - cr.packed) <= 1e-9
+            for t in DEFAULT_T_SAMPLES:
+                drift = interpolant(rotated, t).packed - interpolant(alpha, t).packed
+                assert max_abs(drift) <= 1e-9
 
     def test_t_one_defect_is_frame_defect(self):
         # At t = 1 both homotopy points are the frames themselves.
@@ -214,6 +231,21 @@ class TestCheckEquivariance:
         alpha, _ = generate_injective(np.random.default_rng(5), 4, 2)
         with pytest.raises(DomainError):
             check_equivariance(alpha, random_rotation(4, 1), (0.0, 1.5), 1e-9)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_passes_at_every_condition_and_scale(self):
+        # The defects grow with the entries of M and of the input; judged
+        # against that size, every pair of a well-posed input passes.
+        rng = np.random.default_rng(47)
+        for condition in (1.0, 1e2, 1e4, 1e6):
+            for exponent in (-900, 0, 900):
+                for _ in range(6):
+                    m, d = random_dims(rng, 16)
+                    base = conditioned_injective(rng, m, d, condition)
+                    alpha = validate_injective(np.ldexp(base.matrix, exponent))
+                    o = random_rotation(m, int(rng.integers(0, 2**63)))
+                    report = check_equivariance(alpha, o, DEFAULT_T_SAMPLES, 1e-9)
+                    assert report.passed, (condition, exponent, report)
 
     def test_report_json_layout(self):
         alpha, _ = generate_injective(np.random.default_rng(6), 3, 2)

@@ -217,8 +217,8 @@ class TestRetract:
         from stiefel_retract import UpperTriangularPositive
 
         rng = np.random.default_rng(14)
-        for _ in range(10):
-            m, d = random_dims(rng, 16)
+        for _ in range(100):
+            m, d = random_dims(rng, 32)
             alpha, _ = generate_injective(rng, m, d, max_condition=1e4)
             dense = np.triu(rng.uniform(-0.5, 0.5, size=(d, d)), k=1)
             dense[np.diag_indices(d)] = 10.0 ** rng.uniform(-1, 1, size=d)
@@ -273,6 +273,19 @@ class TestCoefficientMatrix:
             m, d = random_dims(rng, 24)
             alpha, _ = generate_injective(rng, m, d)
             assert np.all(coefficient_matrix(alpha).diagonal() > 0.0)
+
+    def test_reconstruction_and_triangle_over_acceptance_family(self):
+        # The 1000 maps of acceptance criterion 1 (m <= 64, condition <= 1e6).
+        from stiefel_retract import selftest
+
+        family = selftest._Context(selftest.DEFAULT_SEED).family()
+        assert len(family) == 1000
+        for alpha, res in family:
+            coeff = res.coefficient_matrix
+            dense = coeff.to_dense()
+            assert max_abs(alpha.matrix @ dense - res.frame.matrix) <= 1e-10
+            assert np.all(coeff.diagonal() > 0.0)
+            assert np.all(dense[np.tril_indices(coeff.dim, k=-1)] == 0.0)
 
 
 class TestQrDecompose:

@@ -119,8 +119,8 @@ class TestInterpolant:
 
     def test_linearity_in_t(self):
         rng = np.random.default_rng(21)
-        for _ in range(10):
-            m, d = random_dims(rng, 16)
+        for _ in range(50):
+            m, d = random_dims(rng, 32)
             alpha, _ = generate_injective(rng, m, d, max_condition=1e6)
             coeff = coefficient_matrix(alpha)
             eye_packed = interpolant(alpha, 0.0).packed
@@ -390,12 +390,12 @@ class TestContinuity:
     def test_steps_bounded_by_coefficient_gap(self):
         rng = np.random.default_rng(31)
         h = 1e-3
-        for _ in range(10):
-            m, d = random_dims(rng, 24)
+        for _ in range(50):
+            m, d = random_dims(rng, 32)
             alpha, _ = generate_injective(rng, m, d, max_condition=1e6)
             coeff = coefficient_matrix(alpha)
             bound = 2.0 * max_abs(alpha.matrix) * max_abs(coeff.to_dense() - np.eye(d))
-            for t in np.linspace(0.0, 1.0 - h, 6):
+            for t in np.linspace(0.0, 1.0 - h, 11):
                 diff = max_abs(
                     homotopy_step(alpha, float(t) + h).matrix
                     - homotopy_step(alpha, float(t)).matrix
