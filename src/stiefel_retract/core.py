@@ -211,43 +211,42 @@ def validate_injective(raw, tol_rank: float = DEFAULT_TOL_RANK) -> InjectiveMap:
     return InjectiveMap(matrix=a, condition_estimate=largest / smallest)
 
 
-def validate_frame(raw, tol_ortho: float = DEFAULT_TOL_ORTHO) -> StiefelFrame:
+def validate_frame(raw) -> StiefelFrame:
     """Validate an m x d matrix as an orthonormal frame.
 
     Raises ``NotOrthonormalError`` carrying the max-abs deviation of
-    ``raw.T @ raw`` from the identity when it exceeds ``tol_ortho``.
+    ``raw.T @ raw`` from the identity when it exceeds ``DEFAULT_TOL_ORTHO``.
     """
     a = as_matrix(raw)
     m, d = a.shape
     if d > m:
         raise DimensionError(f"need d <= m for a frame, got {m}x{d}")
     defect = orthonormality_defect(a)
-    if defect > tol_ortho:
+    if defect > DEFAULT_TOL_ORTHO:
         raise NotOrthonormalError(
             f"columns deviate from orthonormality by {defect:.3e} "
-            f"(tol_ortho={tol_ortho:g})",
+            f"(tol_ortho={DEFAULT_TOL_ORTHO:g})",
             deviation=defect,
         )
     return StiefelFrame(matrix=a)
 
 
-def validate_rotation(
-    raw,
-    tol_ortho: float = DEFAULT_TOL_ORTHO,
-    tol_det: float = DEFAULT_TOL_DET,
-) -> Rotation:
-    """Validate a square matrix as special-orthogonal (orthogonal, det +1)."""
+def validate_rotation(raw) -> Rotation:
+    """Validate a square matrix as special-orthogonal (orthogonal, det +1)
+    within ``DEFAULT_TOL_ORTHO`` and ``DEFAULT_TOL_DET``."""
     a = as_matrix(raw)
     if a.shape[0] != a.shape[1]:
         raise DimensionError(f"rotation must be square, got shape {a.shape}")
     defect = orthonormality_defect(a)
-    if defect > tol_ortho:
+    if defect > DEFAULT_TOL_ORTHO:
         raise NotOrthonormalError(
             f"matrix deviates from orthogonality by {defect:.3e}", deviation=defect
         )
     det = float(np.linalg.det(a))
-    if abs(det - 1.0) > tol_det:
-        raise DomainError(f"determinant must be +1 within {tol_det:g}, got {det!r}")
+    if abs(det - 1.0) > DEFAULT_TOL_DET:
+        raise DomainError(
+            f"determinant must be +1 within {DEFAULT_TOL_DET:g}, got {det!r}"
+        )
     return Rotation(matrix=a)
 
 

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DEFAULT_TOL_ORTHO,
-    DEFAULT_TOL_RANK,
     InjectiveMap,
     Rotation,
     StiefelFrame,
@@ -58,27 +56,23 @@ def random_rotation(m: int, seed: int) -> Rotation:
     return validate_rotation(q)
 
 
-def act(
-    o: Rotation, alpha: InjectiveMap, tol_rank: float = DEFAULT_TOL_RANK
-) -> InjectiveMap:
+def act(o: Rotation, alpha: InjectiveMap) -> InjectiveMap:
     """Left-multiply by the rotation and revalidate (full rank is preserved
     since rotations are invertible)."""
     if o.dim != alpha.matrix.shape[0]:
         raise DimensionError(
             f"rotation is {o.dim}x{o.dim} but map has {alpha.matrix.shape[0]} rows"
         )
-    return validate_injective(o.matrix @ alpha.matrix, tol_rank)
+    return validate_injective(o.matrix @ alpha.matrix)
 
 
-def act_on_frame(
-    o: Rotation, frame: StiefelFrame, tol_ortho: float = DEFAULT_TOL_ORTHO
-) -> StiefelFrame:
+def act_on_frame(o: Rotation, frame: StiefelFrame) -> StiefelFrame:
     """Left-multiply a frame by a rotation; the result is again a frame."""
     if o.dim != frame.matrix.shape[0]:
         raise DimensionError(
             f"rotation is {o.dim}x{o.dim} but frame has {frame.matrix.shape[0]} rows"
         )
-    return validate_frame(o.matrix @ frame.matrix, tol_ortho)
+    return validate_frame(o.matrix @ frame.matrix)
 
 
 def check_equivariance(
@@ -86,7 +80,6 @@ def check_equivariance(
     o: Rotation,
     t_samples=DEFAULT_T_SAMPLES,
     tolerance: float = 1e-9,
-    tol_rank: float = DEFAULT_TOL_RANK,
 ) -> EquivarianceReport:
     """Measure how far rotation and retraction are from commuting.
 
@@ -108,17 +101,19 @@ def check_equivariance(
             raise DomainError(f"t_samples must lie in [0, 1], got {t!r}")
     if not tolerance > 0.0:
         raise DomainError(f"tolerance must be positive, got {tolerance}")
-    rotated = act(o, alpha, tol_rank)
-    base = orthonormalize(alpha, tol_rank)
-    moved = orthonormalize(rotated, tol_rank)
+    rotated = act(o, alpha)
+    base = orthonormalize(alpha)
+    moved = orthonormalize(rotated)
     frame_defect = max_abs(moved.frame.matrix - o.matrix @ base.frame.matrix)
     coefficient_defect = max_abs(
         moved.coefficient_matrix.packed - base.coefficient_matrix.packed
     )
+    base_r = base.triangular_factor.to_dense()
+    moved_r = moved.triangular_factor.to_dense()
     homotopy_defects = []
     for t in ts:
-        left = _step(rotated, moved, t, tol_rank)
-        right = _step(alpha, base, t, tol_rank)
+        left = _step(rotated, moved.frame, moved_r, t)
+        right = _step(alpha, base.frame, base_r, t)
         homotopy_defects.append(
             (t, max_abs(left.matrix - o.matrix @ right.matrix))
         )

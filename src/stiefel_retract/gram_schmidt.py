@@ -38,23 +38,21 @@ from .errors import DimensionError, NonFiniteError, NumericalRankLossError
 
 @dataclass(frozen=True)
 class GramSchmidtResult:
-    """Frame, coefficient matrix and sweep diagnostics bundled together.
+    """Frame, coefficient matrix and triangular factor bundled together.
 
     ``coefficient_matrix`` column i holds the expansion coefficients of frame
-    column i in the input columns; its diagonal entries are the reciprocals
-    of ``intermediate_norms``, the per-column norms seen just before
-    normalization. ``triangular_factor`` is R, the triangle accumulated by
-    the sweep (alpha = frame @ R within roundoff, M = R^-1); its diagonal is
-    ``intermediate_norms``.
+    column i in the input columns. ``triangular_factor`` is R, the triangle
+    accumulated by the sweep (alpha = frame @ R within roundoff, M = R^-1);
+    its diagonal holds the per-column norms seen just before normalization,
+    the reciprocals of M's diagonal.
     """
 
     frame: StiefelFrame
     coefficient_matrix: UpperTriangularPositive
-    intermediate_norms: np.ndarray
     triangular_factor: UpperTriangularPositive
 
 
-def _sweep(a: np.ndarray, tol_rank: float):
+def _sweep(a: np.ndarray):
     """Classical Gram-Schmidt on the columns of ``a``, projecting each column
     twice against the frame built so far.
 
@@ -79,24 +77,24 @@ def _sweep(a: np.ndarray, tol_rank: float):
             # Starting from +0.0 stores a zero coefficient as +0.0, never -0.0.
             r[:i, i] = 0.0 + h + h2
         nrm = math.sqrt(w @ w)
-        if nrm < tol_rank * input_norms[i]:
+        if nrm < DEFAULT_TOL_RANK * input_norms[i]:
             raise NumericalRankLossError(
                 f"column {i} collapsed during the sweep: residual norm is "
                 f"{nrm / input_norms[i]:.3e} of the column norm, below "
-                f"tol_rank={tol_rank:g}"
+                f"tol_rank={DEFAULT_TOL_RANK:g}"
             )
         r[i, i] = nrm
         np.divide(w, nrm, out=q[:, i])
     return q, np.ldexp(r, exps)
 
 
-def _factor(alpha: InjectiveMap, tol_rank: float):
+def _factor(alpha: InjectiveMap):
     """Run the sweep and check the frame once.
 
     Returns ``(frame, r)`` with ``alpha = frame @ r`` within roundoff and r
     the dense triangle, packed only by the callers that return it.
     """
-    q, r = _sweep(alpha.matrix, tol_rank)
+    q, r = _sweep(alpha.matrix)
     defect = orthonormality_defect(q)
     if not defect <= DEFAULT_TOL_ORTHO:
         raise NumericalRankLossError(
@@ -108,9 +106,7 @@ def _factor(alpha: InjectiveMap, tol_rank: float):
     return StiefelFrame(matrix=q), r
 
 
-def orthonormalize(
-    alpha: InjectiveMap, tol_rank: float = DEFAULT_TOL_RANK
-) -> GramSchmidtResult:
+def orthonormalize(alpha: InjectiveMap) -> GramSchmidtResult:
     """Orthonormalize the columns of ``alpha`` and extract the coefficient
     matrix.
 
@@ -122,11 +118,11 @@ def orthonormalize(
     than accumulating the inductive coefficient updates directly.
 
     Raises ``NumericalRankLossError`` when a column norm collapses below
-    ``tol_rank`` times its input norm, when the produced frame misses the
+    1e-10 times its input norm, when the produced frame misses the
     1e-10 orthogonality tolerance, or when a coefficient lies outside the
     float range.
     """
-    frame, dense_r = _factor(alpha, tol_rank)
+    frame, dense_r = _factor(alpha)
     r = UpperTriangularPositive.from_dense(dense_r)
     try:
         coeff = tri_solve_inverse(r)
@@ -135,34 +131,25 @@ def orthonormalize(
             f"coefficient matrix lies outside the float range: smallest "
             f"diagonal entry of R is {float(np.min(r.diagonal())):.3e}"
         ) from exc
-    return GramSchmidtResult(
-        frame=frame,
-        coefficient_matrix=coeff,
-        intermediate_norms=r.diagonal(),
-        triangular_factor=r,
-    )
+    return GramSchmidtResult(frame=frame, coefficient_matrix=coeff, triangular_factor=r)
 
 
-def retract(alpha: InjectiveMap, tol_rank: float = DEFAULT_TOL_RANK) -> StiefelFrame:
+def retract(alpha: InjectiveMap) -> StiefelFrame:
     """The Gram-Schmidt retraction: the orthonormal frame of ``alpha``.
 
     Skips the coefficient matrix, so it also works where a coefficient would
     lie outside the float range.
     """
-    return _factor(alpha, tol_rank)[0]
+    return _factor(alpha)[0]
 
 
-def coefficient_matrix(
-    alpha: InjectiveMap, tol_rank: float = DEFAULT_TOL_RANK
-) -> UpperTriangularPositive:
+def coefficient_matrix(alpha: InjectiveMap) -> UpperTriangularPositive:
     """The unique positive-diagonal upper-triangular matrix carrying
     ``alpha`` onto its frame (alpha @ result = frame)."""
-    return orthonormalize(alpha, tol_rank).coefficient_matrix
+    return orthonormalize(alpha).coefficient_matrix
 
 
-def qr_decompose(
-    alpha: InjectiveMap, tol_rank: float = DEFAULT_TOL_RANK
-) -> tuple[StiefelFrame, UpperTriangularPositive]:
+def qr_decompose(alpha: InjectiveMap) -> tuple[StiefelFrame, UpperTriangularPositive]:
     """Positive-diagonal QR decomposition of a square injective map.
 
     Q is the Gram-Schmidt frame (orthogonal, determinant +-1) and R is the
@@ -173,13 +160,11 @@ def qr_decompose(
     m, d = alpha.matrix.shape
     if m != d:
         raise DimensionError("qr requires a square matrix")
-    frame, r = _factor(alpha, tol_rank)
+    frame, r = _factor(alpha)
     return frame, UpperTriangularPositive.from_dense(r)
 
 
-def householder_qr_oracle(
-    a, tol_rank: float = DEFAULT_TOL_RANK
-) -> tuple[StiefelFrame, UpperTriangularPositive]:
+def householder_qr_oracle(a) -> tuple[StiefelFrame, UpperTriangularPositive]:
     """Householder-reflector QR with the diagonal of R flipped positive.
 
     Backed by LAPACK through numpy, so it shares no code with the sweep
@@ -189,7 +174,7 @@ def householder_qr_oracle(
     arr = as_matrix(a)
     if arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
-    validate_injective(arr, tol_rank)
+    validate_injective(arr)
     q, r = np.linalg.qr(arr)
     signs = np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
     q = q * signs

@@ -12,12 +12,14 @@ d x d triangle has diagonal (1 - t) * r_ii + t > 0. The point's singular
 values are that triangle's, so every point is certified with a d x d SVD
 rather than an m x d one. ``homotopy_step`` (and ``check_equivariance``)
 form the point from the input and the sweep's frame and R, so t = 1 is the
-frame bit for bit and no interpolant is multiplied out. ``trace_path``
-forms its samples from one product alpha @ M, which is also its t = 1 point.
+frame bit for bit and no interpolant is multiplied out; ``homotopy_step``
+forms no M at all. ``trace_path`` forms its samples from one product
+alpha @ M, which is also its t = 1 point.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +29,12 @@ from .core import (
     DEFAULT_TOL_RANK,
     GUARANTEE_CONDITION,
     InjectiveMap,
+    StiefelFrame,
     UpperTriangularPositive,
     _triangle_layout,
     as_matrix,
     include_frame,
+    max_abs,
     orthonormality_defect,
     tri_solve_inverse,
     validate_injective,
@@ -42,7 +46,7 @@ from .errors import (
     RankDeficientError,
     ZeroVectorError,
 )
-from .gram_schmidt import GramSchmidtResult, coefficient_matrix, orthonormalize
+from .gram_schmidt import _factor, coefficient_matrix
 from .matio import matrix_to_object
 
 
@@ -77,19 +81,17 @@ def _interpolate(coeff: UpperTriangularPositive, t: float) -> UpperTriangularPos
     return UpperTriangularPositive(dim=coeff.dim, packed=packed)
 
 
-def interpolant(
-    alpha: InjectiveMap, t: float, tol_rank: float = DEFAULT_TOL_RANK
-) -> UpperTriangularPositive:
+def interpolant(alpha: InjectiveMap, t: float) -> UpperTriangularPositive:
     """The triangular interpolant (1 - t) * I + t * coefficient_matrix(alpha).
 
     Its diagonal entries (1 - t) + t * lambda_ii stay strictly positive for
     every t in [0, 1]. Raises ``DomainError`` for t outside the interval.
     """
     t = _check_unit_interval(t)
-    return _interpolate(coefficient_matrix(alpha, tol_rank), t)
+    return _interpolate(coefficient_matrix(alpha), t)
 
 
-def _certify(moved, r: np.ndarray, t: float, tol_rank: float) -> InjectiveMap:
+def _certify(moved, r: np.ndarray, t: float) -> InjectiveMap:
     """Validate ``moved`` = Q @ ((1 - t) * r + t * I) as a homotopy point.
 
     Its rank certificate and condition estimate come from the d x d triangle;
@@ -97,9 +99,7 @@ def _certify(moved, r: np.ndarray, t: float, tol_rank: float) -> InjectiveMap:
     """
     try:
         matrix = as_matrix(moved)
-        certificate = validate_injective(
-            (1.0 - t) * r + t * np.eye(r.shape[0]), tol_rank
-        )
+        certificate = validate_injective((1.0 - t) * r + t * np.eye(r.shape[0]))
     except (RankDeficientError, NonFiniteError) as exc:
         raise InternalRankLossError(
             f"homotopy point at t={t:g} failed revalidation: {exc}"
@@ -108,43 +108,46 @@ def _certify(moved, r: np.ndarray, t: float, tol_rank: float) -> InjectiveMap:
 
 
 def _step(
-    alpha: InjectiveMap, res: GramSchmidtResult, t: float, tol_rank: float
+    alpha: InjectiveMap, frame: StiefelFrame, r: np.ndarray, t: float
 ) -> InjectiveMap:
-    """The point (1 - t) * alpha + t * Q from ``alpha``'s orthonormalization."""
+    """The point (1 - t) * alpha + t * Q from ``alpha``'s frame Q and dense
+    triangular factor R."""
     if t == 0.0:
         # Returning the input object keeps the t = 0 endpoint exact instead
         # of tolerance-based.
         return alpha
     if t == 1.0:
         # The certificate would be the SVD of the identity, which cannot fail.
-        return include_frame(res.frame)
-    moved = (1.0 - t) * alpha.matrix + t * res.frame.matrix
-    return _certify(moved, res.triangular_factor.to_dense(), t, tol_rank)
+        return include_frame(frame)
+    moved = (1.0 - t) * alpha.matrix + t * frame.matrix
+    return _certify(moved, r, t)
 
 
-def homotopy_step(
-    alpha: InjectiveMap, t: float, tol_rank: float = DEFAULT_TOL_RANK
-) -> InjectiveMap:
+def homotopy_step(alpha: InjectiveMap, t: float) -> InjectiveMap:
     """Deform ``alpha`` along the straight-line homotopy to time ``t``.
 
     t = 0 returns ``alpha`` itself and t = 1 the Gram-Schmidt frame, bit for
     bit, with condition estimate exactly 1. Other points are
     (1 - t) * alpha + t * frame, certified through the d x d triangle
     (1 - t) * R + t * I; failure raises ``InternalRankLossError`` (not
-    expected for condition estimates within the guaranteed regime).
+    expected for condition estimates within the guaranteed regime). Only Q
+    and R are computed, so the domain is :func:`retract`'s: columns whose
+    coefficients would lie outside the float range are fine.
     """
     t = _check_unit_interval(t)
     if t == 0.0:
         return alpha
-    return _step(alpha, orthonormalize(alpha, tol_rank), t, tol_rank)
+    return _step(alpha, *_factor(alpha), t)
 
 
-def sphere_interpolant(v, t: float, tol_rank: float = DEFAULT_TOL_RANK) -> np.ndarray:
+def sphere_interpolant(v, t: float) -> np.ndarray:
     """Closed form of the homotopy for a single column: scale ``v`` by
     t * (1 - |v|) / |v| + 1.
 
     At t = 1 this is the normalization map onto the unit sphere. Raises
-    ``ZeroVectorError`` when the norm is at or below ``tol_rank``.
+    ``ZeroVectorError`` when the norm is at or below ``DEFAULT_TOL_RANK``.
+    The norm is taken after one exact power-of-two scaling, so every finite
+    ``v`` is accepted without overflow.
     """
     t = _check_unit_interval(t)
     vec = np.asarray(v, dtype=float).reshape(-1)
@@ -152,15 +155,18 @@ def sphere_interpolant(v, t: float, tol_rank: float = DEFAULT_TOL_RANK) -> np.nd
         raise DomainError("vector must be nonempty")
     if not np.all(np.isfinite(vec)):
         raise NonFiniteError("vector contains NaN or infinite entries")
-    nrm = float(np.linalg.norm(vec))
-    if nrm <= tol_rank:
+    # |v| = s * 2^e with s in [0.5, sqrt(size)); the factor is formed as
+    # (2^-e - s) / s, which is (1 - |v|) / |v| bit for bit at ordinary scale.
+    _, e = math.frexp(max_abs(vec))
+    s = float(np.linalg.norm(np.ldexp(vec, -e)))
+    with np.errstate(over="ignore"):
+        nrm = float(np.ldexp(s, e))
+    if nrm <= DEFAULT_TOL_RANK:
         raise ZeroVectorError(f"vector norm {nrm:.3e} is at or below tol_rank")
-    return (t * ((1.0 - nrm) / nrm) + 1.0) * vec
+    return (t * ((math.ldexp(1.0, -e) - s) / s) + 1.0) * vec
 
 
-def trace_path(
-    alpha: InjectiveMap, n: int, tol_rank: float = DEFAULT_TOL_RANK
-) -> HomotopyPath:
+def trace_path(alpha: InjectiveMap, n: int) -> HomotopyPath:
     """Sample the homotopy at n uniform times t_k = k / (n - 1).
 
     The coefficient matrix M, the endpoint alpha @ M and R = M^-1 are
@@ -174,7 +180,7 @@ def trace_path(
     """
     if n < 2:
         raise DomainError(f"need at least 2 samples, got {n}")
-    coeff = coefficient_matrix(alpha, tol_rank)
+    coeff = coefficient_matrix(alpha)
     diag = coeff.diagonal()
     end = alpha.matrix @ coeff.to_dense()
     try:
@@ -192,7 +198,7 @@ def trace_path(
         else:
             # The t = 1 sample is alpha @ M itself, bit for bit.
             moved = end if k == n - 1 else (1.0 - t) * alpha.matrix + t * end
-            point = _certify(moved, r, t, tol_rank)
+            point = _certify(moved, r, t)
         samples.append(
             PathSample(
                 t=t,

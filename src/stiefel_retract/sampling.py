@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DEFAULT_TOL_RANK, InjectiveMap, validate_injective
+from .core import InjectiveMap, validate_injective
 from .errors import RankDeficientError, StiefelRetractError
 
 #: Draws tried by :func:`generate_injective` before it gives up.
@@ -20,7 +20,6 @@ def generate_injective(
     rng: np.random.Generator,
     m: int,
     d: int,
-    tol_rank: float = DEFAULT_TOL_RANK,
     max_condition: float | None = None,
 ) -> tuple[InjectiveMap, int]:
     """Draw a validated m x d map with uniform [-1, 1] entries.
@@ -32,7 +31,7 @@ def generate_injective(
     for _ in range(MAX_TRIES):
         raw = rng.uniform(-1.0, 1.0, size=(m, d))
         try:
-            alpha = validate_injective(raw, tol_rank)
+            alpha = validate_injective(raw)
         except RankDeficientError:
             resamples += 1
             continue

@@ -371,8 +371,8 @@ class TestSelftest:
     def test_fault_injection_fails_orthonormality_row(self, tmp_path, capsys, monkeypatch):
         real_sweep = gram_schmidt._sweep
 
-        def broken(a, tol_rank):
-            q, r = real_sweep(a, tol_rank)
+        def broken(a):
+            q, r = real_sweep(a)
             q[:, -1] += q[:, 0]
             return q, r
 

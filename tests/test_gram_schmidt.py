@@ -67,14 +67,14 @@ class TestOrthonormalize:
         assert max_abs(res.coefficient_matrix.to_dense() - HAND_COEFF) <= 1e-14
         # reconstruction: input @ coefficients lands on the frame
         assert max_abs(HAND_INPUT @ res.coefficient_matrix.to_dense() - np.eye(2)) <= 1e-14
-        assert np.array_equal(res.intermediate_norms, [2.0, 3.0])
+        assert np.array_equal(res.triangular_factor.diagonal(), [2.0, 3.0])
 
     def test_single_column(self):
         alpha = validate_injective(np.array([[3.0], [4.0]]))
         res = orthonormalize(alpha)
         assert np.array_equal(res.frame.matrix, np.array([[0.6], [0.8]]))
         assert np.array_equal(res.coefficient_matrix.to_dense(), [[0.2]])
-        assert np.array_equal(res.intermediate_norms, [5.0])
+        assert np.array_equal(res.triangular_factor.diagonal(), [5.0])
 
     def test_one_by_one_is_reciprocal_norm(self):
         res = orthonormalize(validate_injective([[2.0]]))
@@ -87,7 +87,7 @@ class TestOrthonormalize:
             alpha, _ = generate_injective(rng, m, d, max_condition=1e6)
             res = orthonormalize(alpha)
             rel = np.abs(
-                res.coefficient_matrix.diagonal() * res.intermediate_norms - 1.0
+                res.coefficient_matrix.diagonal() * res.triangular_factor.diagonal() - 1.0
             )
             assert rel.max() <= 1e-12
 
@@ -125,19 +125,18 @@ class TestOrthonormalize:
         raw = np.array([[1.0, 1.0], [0.0, 1e-12]])
         alpha = validate_injective(raw, tol_rank=1e-14)
         with pytest.raises(NumericalRankLossError):
-            orthonormalize(alpha, tol_rank=1e-10)
+            orthonormalize(alpha)
         # Accepted by validation, but the coefficients overflow the float range.
         tiny = validate_injective(TINY_INPUT)
-        for fn in (orthonormalize, coefficient_matrix,
-                   lambda a: homotopy_step(a, 0.5), lambda a: trace_path(a, 3)):
+        for fn in (orthonormalize, coefficient_matrix, lambda a: trace_path(a, 3)):
             with pytest.raises(NumericalRankLossError):
                 fn(tiny)
 
     def test_fault_hook_breaks_orthogonality(self, monkeypatch):
         real_sweep = gram_schmidt._sweep
 
-        def broken(a, tol_rank):
-            q, r = real_sweep(a, tol_rank)
+        def broken(a):
+            q, r = real_sweep(a)
             q[:, -1] += q[:, 0]
             return q, r
 
@@ -288,6 +287,48 @@ class TestCoefficientMatrix:
             assert np.all(dense[np.tril_indices(coeff.dim, k=-1)] == 0.0)
 
 
+class TestHomotopyStepOnFactor:
+    """``homotopy_step`` needs only the sweep's Q and R, so it shares
+    ``retract``'s domain and builds no coefficient matrix."""
+
+    def test_subnormal_columns_give_the_straight_line_point(self):
+        alpha = validate_injective(TINY_INPUT)
+        frame = retract(alpha).matrix
+        for t in (0.25, 0.5, 0.75):
+            point = homotopy_step(alpha, t)
+            assert np.array_equal(point.matrix, (1.0 - t) * alpha.matrix + t * frame)
+            assert np.isfinite(point.condition_estimate)
+
+    def test_builds_no_triangle(self, monkeypatch):
+        from stiefel_retract import UpperTriangularPositive, core, homotopy
+
+        calls = []
+        from_dense = UpperTriangularPositive.from_dense.__func__
+        inverse = core.tri_solve_inverse
+
+        def counted_from_dense(cls, dense):
+            calls.append("from_dense")
+            return from_dense(cls, dense)
+
+        def counted_inverse(u):
+            calls.append("tri_solve_inverse")
+            return inverse(u)
+
+        monkeypatch.setattr(
+            UpperTriangularPositive, "from_dense", classmethod(counted_from_dense)
+        )
+        for module in (core, gram_schmidt, homotopy):
+            monkeypatch.setattr(module, "tri_solve_inverse", counted_inverse)
+        rng = np.random.default_rng(26)
+        for m, d in ((3, 2), (6, 6), (16, 12)):
+            alpha = conditioned_injective(rng, m, d, 1e3)
+            for t in (0.5, 1.0):
+                homotopy_step(alpha, t)
+        assert calls == []
+        trace_path(conditioned_injective(rng, 6, 3, 1e3), 3)
+        assert calls.count("tri_solve_inverse") == 2
+
+
 class TestQrDecompose:
     def test_identity(self):
         q, r = qr_decompose(validate_injective(np.eye(3)))
@@ -320,7 +361,6 @@ class TestQrDecompose:
             _, r = qr_decompose(alpha)
             res = orthonormalize(alpha)
             assert np.array_equal(res.triangular_factor.packed, r.packed)
-            assert np.array_equal(res.triangular_factor.diagonal(), res.intermediate_norms)
 
     def test_agrees_with_oracle_across_sizes(self):
         rng = np.random.default_rng(18)

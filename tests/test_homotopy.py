@@ -209,7 +209,7 @@ class TestStraightLineStep:
 
     @pytest.mark.parametrize("error", [RankDeficientError, NonFiniteError])
     def test_certificate_failure_names_t(self, monkeypatch, error):
-        def refuse(raw, tol_rank):
+        def refuse(raw):
             raise error("injected")
 
         alpha = validate_injective(HAND_INPUT)
@@ -220,7 +220,7 @@ class TestStraightLineStep:
     def test_t_one_needs_no_certificate(self, monkeypatch):
         # At t = 1 the triangle is I, so the point is the frame with
         # condition 1 exactly and no SVD runs.
-        def refuse(raw, tol_rank):
+        def refuse(raw):
             raise RankDeficientError("injected")
 
         alpha = validate_injective(HAND_INPUT)
@@ -274,6 +274,21 @@ class TestSphereInterpolant:
                 <= 1e-12
             )
 
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_columns_match_homotopy_without_overflow(self):
+        # The squared norm of these columns overflows; the closed form must
+        # still agree with the homotopy point, which scales by powers of two.
+        v = np.array([1e200, 1e200])
+        assert np.array_equal(sphere_interpolant(v, 0.5), [5e199, 5e199])
+        rng = np.random.default_rng(48)
+        for k in range(500, 1001, 25):
+            v = rng.uniform(-1.0, 1.0, size=int(rng.integers(1, 9))) * 2.0**k
+            embedded = validate_injective(v[:, None])
+            for t in (0.25, 0.5, 0.75):
+                expected = homotopy_step(embedded, t).matrix[:, 0]
+                gap = max_abs(sphere_interpolant(v, t) - expected)
+                assert gap <= 1e-12 * max_abs(expected)
 
 class TestTracePath:
     def test_orthonormal_source_is_constant(self):
@@ -377,7 +392,7 @@ class TestStraightLinePath:
 
     @pytest.mark.parametrize("error", [RankDeficientError, NonFiniteError])
     def test_certificate_failure_names_t(self, monkeypatch, error):
-        def refuse(raw, tol_rank):
+        def refuse(raw):
             raise error("injected")
 
         alpha = validate_injective(HAND_INPUT)
