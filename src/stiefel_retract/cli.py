@@ -128,15 +128,25 @@ def _load_matrix(cfg: argparse.Namespace) -> np.ndarray:
     return parse_matrix_csv(text)
 
 
-def _obtain_input(cfg: argparse.Namespace) -> np.ndarray:
+def _obtain_input(cfg: argparse.Namespace, square: bool = False) -> InjectiveMap:
+    """The validated input map, read from ``--input`` or drawn from ``--dims``.
+
+    A drawn map is validated once, by the generator. With ``square``, a
+    non-square ``--input`` raises ``DimensionError`` before validation, so it
+    exits as a shape error even when it is also rank deficient; a drawn
+    non-square map reaches the same error in ``qr_decompose``.
+    """
     if cfg.input_path is not None:
-        return _load_matrix(cfg)
+        raw = _load_matrix(cfg)
+        if square and raw.shape[0] != raw.shape[1]:
+            raise DimensionError("qr requires a square matrix")
+        return validate_injective(raw)
     m, d = cfg.dims
     rng = np.random.default_rng(cfg.seed)
     alpha, resamples = generate_injective(rng, m, d)
     if resamples:
         print(f"resampled {resamples} draw(s) that failed validation", file=sys.stderr)
-    return alpha.matrix
+    return alpha
 
 
 def _write_output(cfg: argparse.Namespace, text: str) -> None:
@@ -147,7 +157,7 @@ def _write_output(cfg: argparse.Namespace, text: str) -> None:
 
 
 def cmd_retract(cfg: argparse.Namespace) -> int:
-    alpha = validate_injective(_obtain_input(cfg))
+    alpha = _obtain_input(cfg)
     frame = retract(alpha)
     diagnostics = {
         "ortho_defect": orthonormality_defect(frame.matrix),
@@ -163,7 +173,7 @@ def cmd_retract(cfg: argparse.Namespace) -> int:
 
 
 def cmd_path(cfg: argparse.Namespace) -> int:
-    alpha = validate_injective(_obtain_input(cfg))
+    alpha = _obtain_input(cfg)
     path = trace_path(alpha, cfg.steps)
     if cfg.format == "json":
         _write_output(cfg, json.dumps(path_to_json_obj(path)) + "\n")
@@ -173,10 +183,7 @@ def cmd_path(cfg: argparse.Namespace) -> int:
 
 
 def cmd_qr(cfg: argparse.Namespace) -> int:
-    raw = _obtain_input(cfg)
-    if raw.shape[0] != raw.shape[1]:
-        raise DimensionError("qr requires a square matrix")
-    alpha = validate_injective(raw)
+    alpha = _obtain_input(cfg, square=True)
     q, r = qr_decompose(alpha)
     defect = float(np.max(np.abs(q.matrix @ r.to_dense() - alpha.matrix)))
     if cfg.format == "json":

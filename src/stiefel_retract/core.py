@@ -259,21 +259,27 @@ def include_frame(frame: StiefelFrame) -> InjectiveMap:
     return InjectiveMap(matrix=frame.matrix, condition_estimate=1.0)
 
 
-def tri_solve_inverse(u: UpperTriangularPositive) -> UpperTriangularPositive:
+def tri_solve_inverse(u) -> UpperTriangularPositive:
     """Invert an upper-triangular positive-diagonal matrix by back
     substitution.
 
-    The result's diagonal entries are the reciprocals of the input's, hence
-    positive, and the product with the input is the identity within roundoff.
+    ``u`` is an :class:`UpperTriangularPositive`, or the dense square array
+    that one was packed from, which saves unpacking it again; only the upper
+    triangle of a dense array is read. The result's diagonal entries are the
+    reciprocals of the input's, hence positive, and the product with the
+    input is the identity within roundoff.
     """
-    n = u.dim
-    a = u.to_dense()
-    x = np.eye(n)
+    a = u if isinstance(u, np.ndarray) else u.to_dense()
+    x = np.eye(a.shape[0])
     # An entry past the float range becomes inf or nan here, and the finite
-    # check below raises ``NonFiniteError`` for it.
+    # check below raises ``NonFiniteError`` for it. Each row is updated in
+    # place, over its full width: restricting the product to the nonzero
+    # columns changes how BLAS blocks it, and with that the last bits.
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n - 1, -1, -1):
-            x[i] = (x[i] - a[i, i + 1 :] @ x[i + 1 :]) / a[i, i]
+        for i in range(a.shape[0] - 1, -1, -1):
+            row = x[i]
+            row -= a[i, i + 1 :].dot(x[i + 1 :])
+            row /= a[i, i]
     if not np.isfinite(x).all():
         raise NonFiniteError("triangular inverse has NaN or infinite entries")
     return UpperTriangularPositive.from_dense(x)

@@ -56,28 +56,34 @@ def _sweep(a: np.ndarray):
     """Classical Gram-Schmidt on the columns of ``a``, projecting each column
     twice against the frame built so far.
 
-    Returns ``(q, r)`` with ``a = q @ r`` and r upper triangular. Columns are
-    first scaled by exact powers of two, so no norm overflows or underflows,
-    and the scaling is folded back into r exactly.
+    Returns ``(q, r)`` with ``a = q @ r``, q column-major and r upper
+    triangular and row-major. Columns are first scaled by exact powers of
+    two, so no norm overflows or underflows, and the scaling is folded back
+    into r exactly. ``a`` itself is never written: the scaled copy is the
+    working array, and each column's projections are subtracted from it in
+    place.
     """
     _, exps = np.frexp(np.max(np.abs(a), axis=0))
     a = np.ldexp(a, -exps)
     m, d = a.shape
     input_norms = np.linalg.norm(a, axis=0)
+    floors = (DEFAULT_TOL_RANK * input_norms).tolist()
     q = np.zeros((m, d), order="F")
-    r = np.zeros((d, d))
+    r = np.zeros((d, d), order="F")
     for i in range(d):
         w = a[:, i]
         if i:
             basis = q[:, :i]
-            h = w @ basis
-            w = w - basis @ h
-            h2 = w @ basis
-            w -= basis @ h2
-            # Starting from +0.0 stores a zero coefficient as +0.0, never -0.0.
-            r[:i, i] = 0.0 + h + h2
-        nrm = math.sqrt(w @ w)
-        if nrm < DEFAULT_TOL_RANK * input_norms[i]:
+            h = w.dot(basis)
+            w -= basis.dot(h)
+            h2 = w.dot(basis)
+            w -= basis.dot(h2)
+            col = r[:i, i]
+            np.add(h, h2, out=col)
+            # Adding +0.0 stores a zero coefficient as +0.0, never -0.0.
+            col += 0.0
+        nrm = math.sqrt(w.dot(w))
+        if nrm < floors[i]:
             raise NumericalRankLossError(
                 f"column {i} collapsed during the sweep: residual norm is "
                 f"{nrm / input_norms[i]:.3e} of the column norm, below "
@@ -85,7 +91,9 @@ def _sweep(a: np.ndarray):
             )
         r[i, i] = nrm
         np.divide(w, nrm, out=q[:, i])
-    return q, np.ldexp(r, exps)
+    # r is filled column by column, but the back substitution reads it by
+    # rows, and its bits depend on that layout, so the scaled copy is C-order.
+    return q, np.ldexp(r, exps, order="C")
 
 
 def _factor(alpha: InjectiveMap):
@@ -123,9 +131,11 @@ def orthonormalize(alpha: InjectiveMap) -> GramSchmidtResult:
     float range.
     """
     frame, dense_r = _factor(alpha)
+    # Packing first rejects a non-finite R with ``NonFiniteError``; the back
+    # substitution then reads the dense R it was packed from.
     r = UpperTriangularPositive.from_dense(dense_r)
     try:
-        coeff = tri_solve_inverse(r)
+        coeff = tri_solve_inverse(dense_r)
     except NonFiniteError as exc:
         raise NumericalRankLossError(
             f"coefficient matrix lies outside the float range: smallest "

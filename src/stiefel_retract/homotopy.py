@@ -142,7 +142,7 @@ def homotopy_step(alpha: InjectiveMap, t: float) -> InjectiveMap:
 
 def sphere_interpolant(v, t: float) -> np.ndarray:
     """Closed form of the homotopy for a single column: scale ``v`` by
-    t * (1 - |v|) / |v| + 1.
+    (1 - t) + t / |v|.
 
     At t = 1 this is the normalization map onto the unit sphere. Raises
     ``ZeroVectorError`` when the norm is at or below ``DEFAULT_TOL_RANK``.
@@ -155,15 +155,17 @@ def sphere_interpolant(v, t: float) -> np.ndarray:
         raise DomainError("vector must be nonempty")
     if not np.all(np.isfinite(vec)):
         raise NonFiniteError("vector contains NaN or infinite entries")
-    # |v| = s * 2^e with s in [0.5, sqrt(size)); the factor is formed as
-    # (2^-e - s) / s, which is (1 - |v|) / |v| bit for bit at ordinary scale.
+    # |v| = s * 2^e with s in [0.5, sqrt(size)). The factor
+    # (1 - t) + t / |v| is formed with t / |v| = 2^-e * (t / s), so nothing
+    # cancels near t = 1 at any scale, and (1 - t) + t == 1 keeps unit
+    # vectors fixed.
     _, e = math.frexp(max_abs(vec))
     s = float(np.linalg.norm(np.ldexp(vec, -e)))
     with np.errstate(over="ignore"):
         nrm = float(np.ldexp(s, e))
     if nrm <= DEFAULT_TOL_RANK:
         raise ZeroVectorError(f"vector norm {nrm:.3e} is at or below tol_rank")
-    return (t * ((math.ldexp(1.0, -e) - s) / s) + 1.0) * vec
+    return ((1.0 - t) + math.ldexp(t / s, -e)) * vec
 
 
 def trace_path(alpha: InjectiveMap, n: int) -> HomotopyPath:

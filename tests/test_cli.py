@@ -326,6 +326,34 @@ class TestDeterminism:
             assert payloads[0] == payloads[1]
 
 
+class TestValidationCount:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["retract", "--dims", "8x3", "--seed", "11"],
+            ["path", "--dims", "6x3", "--seed", "1", "--steps", "5"],
+            ["qr", "--dims", "16x16", "--seed", "2"],
+        ],
+    )
+    def test_generated_input_validated_once(self, argv, monkeypatch, capsys):
+        # The generator validates its draw; the command reuses that map
+        # rather than running a second m x d SVD on the same matrix.
+        from stiefel_retract import sampling
+
+        calls = []
+        validate = cli.validate_injective
+
+        def counted(raw, *args, **kwargs):
+            calls.append(raw)
+            return validate(raw, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "validate_injective", counted)
+        monkeypatch.setattr(sampling, "validate_injective", counted)
+        assert run(argv) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+
+
 class TestParserReuse:
     def test_tolerance_default_survives_an_override(self, capsys):
         argv = ["check", "--dims", "6x2", "--batch", "2", "--seed", "3"]

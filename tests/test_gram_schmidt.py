@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,8 +19,8 @@ from stiefel_retract import (
     trace_path,
     validate_injective,
 )
-from stiefel_retract import gram_schmidt
-from stiefel_retract.core import max_abs, orthonormality_defect
+from stiefel_retract import core, gram_schmidt
+from stiefel_retract.core import DEFAULT_TOL_RANK, max_abs, orthonormality_defect
 from stiefel_retract.sampling import (
     conditioned_injective,
     generate_injective,
@@ -398,3 +400,95 @@ class TestHouseholderOracle:
     def test_rectangular_rejected(self):
         with pytest.raises(DimensionError):
             householder_qr_oracle(np.eye(3)[:, :2])
+
+
+def _reference_sweep(a: np.ndarray):
+    """The sweep as it was before its loop ran in place, kept verbatim as
+    the bit-for-bit reference for ``gram_schmidt._sweep``."""
+    _, exps = np.frexp(np.max(np.abs(a), axis=0))
+    a = np.ldexp(a, -exps)
+    m, d = a.shape
+    input_norms = np.linalg.norm(a, axis=0)
+    q = np.zeros((m, d), order="F")
+    r = np.zeros((d, d))
+    for i in range(d):
+        w = a[:, i]
+        if i:
+            basis = q[:, :i]
+            h = w @ basis
+            w = w - basis @ h
+            h2 = w @ basis
+            w -= basis @ h2
+            # Starting from +0.0 stores a zero coefficient as +0.0, never -0.0.
+            r[:i, i] = 0.0 + h + h2
+        nrm = math.sqrt(w @ w)
+        if nrm < DEFAULT_TOL_RANK * input_norms[i]:
+            raise NumericalRankLossError(f"column {i} collapsed during the sweep")
+        r[i, i] = nrm
+        np.divide(w, nrm, out=q[:, i])
+    return q, np.ldexp(r, exps)
+
+
+def _reference_back_substitution(a: np.ndarray) -> np.ndarray:
+    """The back substitution as it was before it updated rows in place, kept
+    verbatim as the bit-for-bit reference for ``tri_solve_inverse``."""
+    n = a.shape[0]
+    x = np.eye(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n - 1, -1, -1):
+            x[i] = (x[i] - a[i, i + 1 :] @ x[i + 1 :]) / a[i, i]
+    return x
+
+
+def _guard_family():
+    """Inputs for the bit-for-bit guard: shapes 1x1 to 64x64 and 500x40,
+    conditions 1 to 9e5, scales 2^-900 to 2^900, and exact-zero
+    coefficients."""
+    rng = np.random.default_rng(50)
+    for m, d in ((1, 1), (2, 2), (3, 2), (7, 5), (16, 12), (24, 24), (40, 9), (64, 64),
+                 (500, 40)):
+        for condition in (1.0, 1e3, 1e5, 9e5):
+            base = conditioned_injective(rng, m, d, condition).matrix
+            for scale in (2.0**-900, 1.0, 2.0**900):
+                yield base * scale
+    yield TINY_INPUT
+    yield np.eye(6)[:, [4, 0, 2]] * [3.0, -2.0, 0.5]
+    yield np.array([[1.0, -0.0], [0.0, 2.0], [-0.0, 0.0]])
+    yield np.array([[2.0, 1.0, 0.0], [0.0, -0.0, 5.0], [0.0, 3.0, -0.0]])
+
+
+def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    return np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+
+
+class TestInPlaceLoopsBitForBit:
+    def test_sweep_and_inverse_match_reference_loops(self):
+        for raw in _guard_family():
+            alpha = validate_injective(raw)
+            q_ref, r_ref = _reference_sweep(alpha.matrix)
+            q, r = gram_schmidt._sweep(alpha.matrix)
+            assert _same_bits(q, q_ref) and _same_bits(r, r_ref)
+            m_ref = _reference_back_substitution(r_ref)
+            if not np.isfinite(m_ref).all():
+                # TINY_INPUT: coefficients past the float range.
+                with pytest.raises(NumericalRankLossError):
+                    orthonormalize(alpha)
+                continue
+            res = orthonormalize(alpha)
+            assert _same_bits(res.frame.matrix, q_ref)
+            assert _same_bits(res.triangular_factor.to_dense(), r_ref)
+            assert _same_bits(res.coefficient_matrix.to_dense(), m_ref)
+            packed = core.UpperTriangularPositive.from_dense(r_ref)
+            assert _same_bits(core.tri_solve_inverse(packed).to_dense(), m_ref)
+            assert _same_bits(core.tri_solve_inverse(r_ref).to_dense(), m_ref)
+
+    def test_sweep_never_writes_its_argument(self):
+        # Column maxima in [0.5, 1) give exponent 0, so the scaling leaves
+        # every value unchanged; the in-place loop must still work on a copy.
+        rng = np.random.default_rng(51)
+        a = np.asfortranarray(rng.uniform(0.5, 0.99, size=(9, 6)))
+        assert np.array_equal(np.frexp(np.max(np.abs(a), axis=0))[1], np.zeros(6))
+        assert a.flags.writeable and a.flags.f_contiguous
+        before = a.copy()
+        gram_schmidt._sweep(a)
+        assert _same_bits(a, before)

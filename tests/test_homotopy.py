@@ -290,6 +290,21 @@ class TestSphereInterpolant:
                 gap = max_abs(sphere_interpolant(v, t) - expected)
                 assert gap <= 1e-12 * max_abs(expected)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_matches_homotopy_near_the_sphere_at_any_scale(self):
+        # Near t = 1 the point is about v / |v|; a factor formed as
+        # t * (1 - |v|) / |v| + 1 cancels there once |v| is far from 1.
+        assert max_abs(sphere_interpolant([1e200, 1e200], 1.0) - 0.5**0.5) <= 1e-15
+        rng = np.random.default_rng(49)
+        for k in range(-30, 1001, 10):
+            v = rng.uniform(-1.0, 1.0, size=int(rng.integers(1, 9))) * 2.0**k
+            embedded = validate_injective(v[:, None])
+            for t in (0.9, 0.99, 1.0):
+                expected = homotopy_step(embedded, t).matrix[:, 0]
+                gap = max_abs(sphere_interpolant(v, t) - expected)
+                assert gap <= 1e-12 * max_abs(expected), (k, t)
+
+
 class TestTracePath:
     def test_orthonormal_source_is_constant(self):
         frame = validate_frame(np.eye(4)[:, :2])
