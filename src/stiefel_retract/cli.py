@@ -30,8 +30,6 @@ from .equivariance import (
 from .errors import (
     DimensionError,
     InternalRankLossError,
-    MatrixFormatError,
-    NonFiniteError,
     NumericalRankLossError,
     RankDeficientError,
     StiefelRetractError,
@@ -213,7 +211,7 @@ def _check_item(cfg: argparse.Namespace, index: int, fixed: InjectiveMap | None)
 
 
 def cmd_check(cfg: argparse.Namespace) -> int:
-    fixed = validate_injective(_load_matrix(cfg)) if cfg.input_path is not None else None
+    fixed = _obtain_input(cfg) if cfg.input_path is not None else None
     reports = [_check_item(cfg, i, fixed) for i in range(cfg.batch)]
     lines = [json.dumps(report_to_json_obj(rep)) for rep in reports]
     _write_output(cfg, "\n".join(lines) + "\n")
@@ -242,19 +240,13 @@ def main(argv=None) -> int:
     cfg = parse_config(argv)
     try:
         return DISPATCH[cfg.subcommand](cfg)
-    except (MatrixFormatError, NonFiniteError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except (RankDeficientError, NumericalRankLossError, InternalRankLossError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RANK
     except DimensionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SHAPE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except StiefelRetractError as exc:
+    except (StiefelRetractError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -23,7 +23,7 @@ from .core import (
 )
 from .errors import DimensionError, DomainError
 from .gram_schmidt import orthonormalize
-from .homotopy import _step
+from .homotopy import _check_unit_interval, _step
 
 DEFAULT_T_SAMPLES = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -93,12 +93,9 @@ def check_equivariance(
     ``tolerance * max(1, (1 - t) max|alpha| + t)``, which bounds the entries
     of the point (1 - t) alpha + t Q.
     """
-    ts = [float(t) for t in t_samples]
+    ts = [_check_unit_interval(t) for t in t_samples]
     if not ts:
         raise DomainError("t_samples must be nonempty")
-    for t in ts:
-        if not 0.0 <= t <= 1.0:
-            raise DomainError(f"t_samples must lie in [0, 1], got {t!r}")
     if not tolerance > 0.0:
         raise DomainError(f"tolerance must be positive, got {tolerance}")
     rotated = act(o, alpha)

@@ -31,7 +31,6 @@ from .core import (
     InjectiveMap,
     StiefelFrame,
     UpperTriangularPositive,
-    _triangle_layout,
     as_matrix,
     include_frame,
     max_abs,
@@ -75,10 +74,9 @@ def _check_unit_interval(t: float) -> float:
 
 
 def _interpolate(coeff: UpperTriangularPositive, t: float) -> UpperTriangularPositive:
-    packed = t * coeff.packed
-    _, _, diag = _triangle_layout(coeff.dim)
-    packed[diag] += 1.0 - t
-    return UpperTriangularPositive(dim=coeff.dim, packed=packed)
+    return UpperTriangularPositive.from_dense(
+        (1.0 - t) * np.eye(coeff.dim) + t * coeff.to_dense()
+    )
 
 
 def interpolant(alpha: InjectiveMap, t: float) -> UpperTriangularPositive:
@@ -184,9 +182,10 @@ def trace_path(alpha: InjectiveMap, n: int) -> HomotopyPath:
         raise DomainError(f"need at least 2 samples, got {n}")
     coeff = coefficient_matrix(alpha)
     diag = coeff.diagonal()
-    end = alpha.matrix @ coeff.to_dense()
+    dense = coeff.to_dense()
+    end = alpha.matrix @ dense
     try:
-        r = tri_solve_inverse(coeff).to_dense()
+        r = tri_solve_inverse(dense).to_dense()
     except NonFiniteError as exc:
         raise InternalRankLossError(
             f"triangular factor R = M^-1 failed revalidation: {exc}"

@@ -44,11 +44,9 @@ def generate_injective(
     )
 
 
-def random_dims(
-    rng: np.random.Generator, max_m: int, square: bool = False
-) -> tuple[int, int]:
+def random_dims(rng: np.random.Generator, max_m: int) -> tuple[int, int]:
     m = int(rng.integers(1, max_m + 1))
-    d = m if square else int(rng.integers(1, m + 1))
+    d = int(rng.integers(1, m + 1))
     return m, d
 
 

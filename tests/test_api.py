@@ -58,3 +58,28 @@ def test_no_unused_imports(path):
         name: line for name, line in _imported_names(tree).items() if name not in used
     }
     assert unused == {}
+
+
+def _named(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return names
+
+
+def test_only_core_knows_the_packed_triangle():
+    # Other modules reach the packed layout through from_dense, to_dense and
+    # diagonal, so a change of layout stays inside core.
+    naming = [
+        path.name
+        for path in SOURCES
+        if "_triangle_layout" in _named(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert naming == ["core.py"]

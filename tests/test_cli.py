@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from stiefel_retract import cli, gram_schmidt, qr_decompose, retract, trace_path
+import stiefel_retract
+from stiefel_retract import cli, errors, gram_schmidt, qr_decompose, retract, trace_path
 from stiefel_retract.core import max_abs
 from stiefel_retract.equivariance import (
     DEFAULT_T_SAMPLES,
@@ -258,6 +259,41 @@ class TestCheck:
             o = random_rotation(6, int(rng.integers(0, 2**63)))
             report = check_equivariance(alpha, o, DEFAULT_T_SAMPLES, 1e-9)
             assert json.loads(line) == report_to_json_obj(report)
+
+
+#: The exit code of every error a subcommand can raise.
+EXIT_CODES = {
+    errors.StiefelRetractError: 2,
+    errors.NonFiniteError: 2,
+    errors.MatrixFormatError: 2,
+    errors.NotOrthonormalError: 2,
+    errors.DomainError: 2,
+    errors.ZeroVectorError: 2,
+    FileNotFoundError: 2,
+    errors.RankDeficientError: 3,
+    errors.NumericalRankLossError: 3,
+    errors.InternalRankLossError: 3,
+    errors.DimensionError: 4,
+}
+
+
+class TestExitCodes:
+    def test_table_covers_every_exported_error(self):
+        exported = [getattr(stiefel_retract, name) for name in stiefel_retract.__all__]
+        classes = {c for c in exported if isinstance(c, type) and issubclass(c, Exception)}
+        assert classes <= set(EXIT_CODES)
+
+    @pytest.mark.parametrize("error", list(EXIT_CODES), ids=lambda c: c.__name__)
+    def test_error_maps_to_exit_code(self, error, monkeypatch, capsys):
+        def fail(cfg):
+            if error is errors.NotOrthonormalError:
+                raise error("boom", deviation=1.0)
+            raise error("boom")
+
+        monkeypatch.setitem(cli.DISPATCH, "retract", fail)
+        assert run(["retract", "--dims", "3x2", "--seed", "0"]) == EXIT_CODES[error]
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: boom\n")
 
 
 class TestConfigValidation:

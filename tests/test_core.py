@@ -20,7 +20,11 @@ from stiefel_retract import (
     validate_rotation,
 )
 from stiefel_retract.core import max_abs, orthonormality_defect
-from stiefel_retract.sampling import generate_injective, random_dims
+from stiefel_retract.sampling import (
+    conditioned_injective,
+    generate_injective,
+    random_dims,
+)
 
 
 class TestValidateInjective:
@@ -101,6 +105,18 @@ class TestValidateFrame:
         with pytest.raises(DimensionError):
             validate_frame(np.eye(2)[:1, :])
 
+    def test_overflowing_gram_rejected_with_infinite_deviation(self):
+        # Gram entries of both signs overflow and would sum to NaN, which no
+        # tolerance comparison rejects; the defect must read inf instead.
+        raw = conditioned_injective(np.random.default_rng(3), 16, 12, 1.0).matrix
+        with pytest.raises(NotOrthonormalError) as excinfo:
+            validate_frame(raw * 2.0**900)
+        assert excinfo.value.deviation == math.inf
+        turn = np.array([[0.6, -0.8], [0.8, 0.6]])
+        with pytest.raises(NotOrthonormalError) as excinfo:
+            validate_rotation(turn * 2.0**900)
+        assert excinfo.value.deviation == math.inf
+
 
 class TestIncludeFrame:
     def test_identity_on_entries(self):
@@ -139,8 +155,9 @@ class TestValidateRotation:
             validate_rotation(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
     def test_non_square_rejected(self):
-        with pytest.raises(DimensionError):
-            validate_rotation(np.eye(3)[:, :2])
+        for raw in (np.eye(3)[:, :2], np.eye(3)[:2, :]):
+            with pytest.raises(DimensionError):
+                validate_rotation(raw)
 
 
 class TestUpperTriangularPositive:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -343,13 +344,18 @@ class TestTracePath:
     @pytest.mark.filterwarnings("error")
     def test_large_scale_input_warns_nothing(self):
         # Intermediate samples near 2^900 overflow the Gram product; their
-        # defect is inf, and no warning is printed.
+        # defect is inf, never NaN, and no warning is printed. The 16 x 12
+        # map overflows with products of both signs.
         rng = np.random.default_rng(33)
-        for condition in (1e2, 1e6):
-            alpha = validate_injective(
-                conditioned_injective(rng, 12, 4, condition).matrix * 2.0**900
-            )
-            path = trace_path(alpha, 5)
+        sources = [
+            (conditioned_injective(rng, 12, 4, 1e2), 5),
+            (conditioned_injective(rng, 12, 4, 1e6), 5),
+            (conditioned_injective(np.random.default_rng(3), 16, 12, 1.0), 3),
+        ]
+        for source, n in sources:
+            path = trace_path(validate_injective(source.matrix * 2.0**900), n)
+            assert path.samples[0].ortho_defect == math.inf
+            assert not any(math.isnan(s.ortho_defect) for s in path.samples)
             assert path.samples[-1].ortho_defect <= 1e-10
 
 
