@@ -30,6 +30,7 @@ from .equivariance import (
 from .errors import (
     DimensionError,
     InternalRankLossError,
+    MatrixFormatError,
     NumericalRankLossError,
     RankDeficientError,
     StiefelRetractError,
@@ -120,7 +121,10 @@ def parse_config(argv) -> argparse.Namespace:
 
 
 def _load_matrix(cfg: argparse.Namespace) -> np.ndarray:
-    text = Path(cfg.input_path).read_text()
+    try:
+        text = Path(cfg.input_path).read_text()
+    except UnicodeDecodeError as exc:
+        raise MatrixFormatError(f"input is not text: {exc}") from exc
     if cfg.format == "json":
         return parse_matrix_json(text)
     return parse_matrix_csv(text)

@@ -70,10 +70,6 @@ def orthonormality_defect(a: np.ndarray) -> float:
     return math.inf if math.isnan(defect) else defect
 
 
-def singular_values(a: np.ndarray) -> np.ndarray:
-    return np.linalg.svd(a, compute_uv=False)
-
-
 @dataclass(frozen=True)
 class InjectiveMap:
     """An m x d matrix with linearly independent columns.
@@ -200,11 +196,11 @@ def validate_injective(raw, tol_rank: float = DEFAULT_TOL_RANK) -> InjectiveMap:
     m, d = a.shape
     if d > m:
         raise DimensionError(f"need d <= m for an injective map, got {m}x{d}")
-    sv = singular_values(a)
+    sv = np.linalg.svd(a, compute_uv=False)
     if not (math.isfinite(sv[0]) and math.isfinite(sv[-1])):
         # The SVD overflowed on huge finite entries. One exact power of two
         # brings max|a| into [0.5, 1) and leaves the ratio unchanged.
-        sv = singular_values(np.ldexp(a, -math.frexp(max_abs(a))[1]))
+        sv = np.linalg.svd(np.ldexp(a, -math.frexp(max_abs(a))[1]), compute_uv=False)
     largest, smallest = float(sv[0]), float(sv[-1])
     if smallest <= tol_rank * largest:
         raise RankDeficientError(

@@ -16,6 +16,7 @@ from .core import (
     InjectiveMap,
     Rotation,
     StiefelFrame,
+    include_frame,
     max_abs,
     validate_frame,
     validate_injective,
@@ -98,22 +99,20 @@ def check_equivariance(
         raise DomainError("t_samples must be nonempty")
     if not tolerance > 0.0:
         raise DomainError(f"tolerance must be positive, got {tolerance}")
-    rotated = act(o, alpha)
+    # Factoring alpha first rejects an R past the float range before o @ alpha overflows.
     base = orthonormalize(alpha)
+    rotated = act(o, alpha)
     moved = orthonormalize(rotated)
     frame_defect = max_abs(moved.frame.matrix - o.matrix @ base.frame.matrix)
     coefficient_defect = max_abs(
         moved.coefficient_matrix.packed - base.coefficient_matrix.packed
     )
-    base_r = base.triangular_factor.to_dense()
-    moved_r = moved.triangular_factor.to_dense()
-    homotopy_defects = []
-    for t in ts:
-        left = _step(rotated, moved.frame, moved_r, t)
-        right = _step(alpha, base.frame, base_r, t)
-        homotopy_defects.append(
-            (t, max_abs(left.matrix - o.matrix @ right.matrix))
-        )
+    left = (rotated, include_frame(moved.frame), moved.triangular_factor.to_dense())
+    right = (alpha, include_frame(base.frame), base.triangular_factor.to_dense())
+    homotopy_defects = [
+        (t, max_abs(_step(*left, t).matrix - o.matrix @ _step(*right, t).matrix))
+        for t in ts
+    ]
     coeff_scale = max(1.0, max_abs(base.coefficient_matrix.packed))
     input_scale = max_abs(alpha.matrix)
     passed = (

@@ -93,7 +93,12 @@ def _sweep(a: np.ndarray):
         np.divide(w, nrm, out=q[:, i])
     # r is filled column by column, but the back substitution reads it by
     # rows, and its bits depend on that layout, so the scaled copy is C-order.
-    return q, np.ldexp(r, exps, order="C")
+    # Column j of r is below sqrt(m) * 2^exps[j], so only a column above
+    # 2^960 can overflow; callers that read R reject its inf, retract reads q.
+    if max(exps.tolist()) <= 960:
+        return q, np.ldexp(r, exps, order="C")
+    with np.errstate(over="ignore"):
+        return q, np.ldexp(r, exps, order="C")
 
 
 def _factor(alpha: InjectiveMap):
@@ -114,6 +119,13 @@ def _factor(alpha: InjectiveMap):
     return StiefelFrame(matrix=q), r
 
 
+def _packed_factor(dense_r: np.ndarray) -> UpperTriangularPositive:
+    try:
+        return UpperTriangularPositive.from_dense(dense_r)
+    except NonFiniteError as exc:
+        raise NumericalRankLossError("triangular factor R lies outside the float range") from exc
+
+
 def orthonormalize(alpha: InjectiveMap) -> GramSchmidtResult:
     """Orthonormalize the columns of ``alpha`` and extract the coefficient
     matrix.
@@ -127,13 +139,12 @@ def orthonormalize(alpha: InjectiveMap) -> GramSchmidtResult:
 
     Raises ``NumericalRankLossError`` when a column norm collapses below
     1e-10 times its input norm, when the produced frame misses the
-    1e-10 orthogonality tolerance, or when a coefficient lies outside the
-    float range.
+    1e-10 orthogonality tolerance, or when an entry of R or of the
+    coefficient matrix lies outside the float range.
     """
     frame, dense_r = _factor(alpha)
-    # Packing first rejects a non-finite R with ``NonFiniteError``; the back
-    # substitution then reads the dense R it was packed from.
-    r = UpperTriangularPositive.from_dense(dense_r)
+    r = _packed_factor(dense_r)
+    # The back substitution reads the dense R that was just packed.
     try:
         coeff = tri_solve_inverse(dense_r)
     except NonFiniteError as exc:
@@ -171,7 +182,7 @@ def qr_decompose(alpha: InjectiveMap) -> tuple[StiefelFrame, UpperTriangularPosi
     if m != d:
         raise DimensionError("qr requires a square matrix")
     frame, r = _factor(alpha)
-    return frame, UpperTriangularPositive.from_dense(r)
+    return frame, _packed_factor(r)
 
 
 def householder_qr_oracle(a) -> tuple[StiefelFrame, UpperTriangularPositive]:

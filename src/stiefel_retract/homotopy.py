@@ -10,11 +10,10 @@ Since alpha @ M = Q, the point at time t is (1 - t) * alpha + t * Q, and with
 R = M^-1 it equals Q @ ((1 - t) * R + t * I): a thin QR factorization whose
 d x d triangle has diagonal (1 - t) * r_ii + t > 0. The point's singular
 values are that triangle's, so every point is certified with a d x d SVD
-rather than an m x d one. ``homotopy_step`` (and ``check_equivariance``)
-form the point from the input and the sweep's frame and R, so t = 1 is the
-frame bit for bit and no interpolant is multiplied out; ``homotopy_step``
-forms no M at all. ``trace_path`` forms its samples from one product
-alpha @ M, which is also its t = 1 point.
+rather than an m x d one. One step rule, ``_step``, forms every point from an
+endpoint and R. ``homotopy_step`` and ``check_equivariance`` pass the sweep's
+frame, so t = 1 is the frame bit for bit. ``trace_path`` passes alpha @ M,
+which is accurate only to about eps * condition.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from .core import (
     DEFAULT_TOL_RANK,
     GUARANTEE_CONDITION,
     InjectiveMap,
-    StiefelFrame,
     UpperTriangularPositive,
     as_matrix,
     include_frame,
@@ -89,36 +87,29 @@ def interpolant(alpha: InjectiveMap, t: float) -> UpperTriangularPositive:
     return _interpolate(coefficient_matrix(alpha), t)
 
 
-def _certify(moved, r: np.ndarray, t: float) -> InjectiveMap:
-    """Validate ``moved`` = Q @ ((1 - t) * r + t * I) as a homotopy point.
+def _step(alpha: InjectiveMap, end: InjectiveMap, r: np.ndarray, t: float) -> InjectiveMap:
+    """The homotopy point (1 - t) * alpha + t * end, where ``end`` is alpha's
+    frame Q or alpha @ M and ``r`` the dense R of alpha = Q @ R.
 
-    Its rank certificate and condition estimate come from the d x d triangle;
-    a failure raises ``InternalRankLossError`` naming t.
+    Both endpoints are returned as they are. In between, the point is
+    Q @ ((1 - t) * R + t * I), certified (rank and condition estimate) through
+    that d x d triangle; a failure raises ``InternalRankLossError`` naming t.
     """
-    try:
-        matrix = as_matrix(moved)
-        certificate = validate_injective((1.0 - t) * r + t * np.eye(r.shape[0]))
-    except (RankDeficientError, NonFiniteError) as exc:
-        raise InternalRankLossError(
-            f"homotopy point at t={t:g} failed revalidation: {exc}"
-        ) from exc
-    return InjectiveMap(matrix=matrix, condition_estimate=certificate.condition_estimate)
-
-
-def _step(
-    alpha: InjectiveMap, frame: StiefelFrame, r: np.ndarray, t: float
-) -> InjectiveMap:
-    """The point (1 - t) * alpha + t * Q from ``alpha``'s frame Q and dense
-    triangular factor R."""
     if t == 0.0:
         # Returning the input object keeps the t = 0 endpoint exact instead
         # of tolerance-based.
         return alpha
     if t == 1.0:
         # The certificate would be the SVD of the identity, which cannot fail.
-        return include_frame(frame)
-    moved = (1.0 - t) * alpha.matrix + t * frame.matrix
-    return _certify(moved, r, t)
+        return end
+    try:
+        matrix = as_matrix((1.0 - t) * alpha.matrix + t * end.matrix)
+        certificate = validate_injective((1.0 - t) * r + t * np.eye(r.shape[0]))
+    except (RankDeficientError, NonFiniteError) as exc:
+        raise InternalRankLossError(
+            f"homotopy point at t={t:g} failed revalidation: {exc}"
+        ) from exc
+    return InjectiveMap(matrix=matrix, condition_estimate=certificate.condition_estimate)
 
 
 def homotopy_step(alpha: InjectiveMap, t: float) -> InjectiveMap:
@@ -128,14 +119,15 @@ def homotopy_step(alpha: InjectiveMap, t: float) -> InjectiveMap:
     bit, with condition estimate exactly 1. Other points are
     (1 - t) * alpha + t * frame, certified through the d x d triangle
     (1 - t) * R + t * I; failure raises ``InternalRankLossError`` (not
-    expected for condition estimates within the guaranteed regime). Only Q
-    and R are computed, so the domain is :func:`retract`'s: columns whose
+    expected for condition estimates within the guaranteed regime), as does
+    an R outside the float range. Only Q and R are computed, so columns whose
     coefficients would lie outside the float range are fine.
     """
     t = _check_unit_interval(t)
     if t == 0.0:
         return alpha
-    return _step(alpha, *_factor(alpha), t)
+    frame, r = _factor(alpha)
+    return _step(alpha, include_frame(frame), r, t)
 
 
 def sphere_interpolant(v, t: float) -> np.ndarray:
@@ -169,21 +161,20 @@ def sphere_interpolant(v, t: float) -> np.ndarray:
 def trace_path(alpha: InjectiveMap, n: int) -> HomotopyPath:
     """Sample the homotopy at n uniform times t_k = k / (n - 1).
 
-    The coefficient matrix M, the endpoint alpha @ M and R = M^-1 are
-    computed once. Each sample is the straight-line point
-    (1 - t) * alpha + t * (alpha @ M), which equals Q @ ((1 - t) * R + t * I);
-    its rank is certified, and its condition estimate taken, from that d x d
-    triangle. Each sample records the minimum interpolant diagonal and the
-    orthogonality defect of the point. For sources within the guaranteed
-    condition regime the defect at t = 1 must meet the 1e-10 orthogonality
-    tolerance; beyond that regime it is reported as a diagnostic only.
+    M, the endpoint alpha @ M and R = M^-1 are computed once, and every
+    sample is the step (1 - t) * alpha + t * (alpha @ M), certified through
+    (1 - t) * R + t * I. The endpoint is alpha @ M bit for bit, accurate only
+    to about eps * condition. Each sample records the minimum interpolant
+    diagonal and the orthogonality defect of the point. Within the
+    guaranteed condition regime the t = 1 defect must meet the 1e-10
+    orthogonality tolerance; beyond it, it is a diagnostic only.
     """
     if n < 2:
         raise DomainError(f"need at least 2 samples, got {n}")
     coeff = coefficient_matrix(alpha)
     diag = coeff.diagonal()
     dense = coeff.to_dense()
-    end = alpha.matrix @ dense
+    end = InjectiveMap(matrix=as_matrix(alpha.matrix @ dense), condition_estimate=1.0)
     try:
         r = tri_solve_inverse(dense).to_dense()
     except NonFiniteError as exc:
@@ -193,13 +184,7 @@ def trace_path(alpha: InjectiveMap, n: int) -> HomotopyPath:
     samples = []
     for k in range(n):
         t = k / (n - 1)
-        if k == 0:
-            # Returning the input object keeps the t = 0 endpoint exact.
-            point = alpha
-        else:
-            # The t = 1 sample is alpha @ M itself, bit for bit.
-            moved = end if k == n - 1 else (1.0 - t) * alpha.matrix + t * end
-            point = _certify(moved, r, t)
+        point = _step(alpha, end, r, t)
         samples.append(
             PathSample(
                 t=t,

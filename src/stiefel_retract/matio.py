@@ -44,7 +44,10 @@ def matrix_from_object(obj) -> np.ndarray:
     for x in data:
         if isinstance(x, bool) or not isinstance(x, (int, float)):
             raise MatrixFormatError(f"non-numeric entry {x!r}")
-    return np.array(data, dtype=float).reshape(rows, cols)
+    try:
+        return np.array(data, dtype=float).reshape(rows, cols)
+    except OverflowError as exc:
+        raise MatrixFormatError(f"entry outside the float range: {exc}") from exc
 
 
 def format_matrix_json(a: np.ndarray) -> str:
@@ -54,7 +57,7 @@ def format_matrix_json(a: np.ndarray) -> str:
 def parse_matrix_json(text: str) -> np.ndarray:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise MatrixFormatError(f"invalid JSON: {exc}") from exc
     return matrix_from_object(obj)
 

@@ -78,11 +78,11 @@ def check_orthonormality(ctx: _Context):
 def check_homotopy_endpoints(ctx: _Context):
     worst = 0.0
     for alpha, res in ctx.family():
-        r = res.triangular_factor.to_dense()
-        start = _step(alpha, res.frame, r, 0.0)
+        q, r = include_frame(res.frame), res.triangular_factor.to_dense()
+        start = _step(alpha, q, r, 0.0)
         if start is not alpha or not np.array_equal(start.matrix, alpha.matrix):
             return False, "t=0 endpoint is not bit-identical to the source"
-        end = _step(alpha, res.frame, r, 1.0)
+        end = _step(alpha, q, r, 1.0)
         worst = max(worst, max_abs(end.matrix - res.frame.matrix))
     return worst <= 1e-10, f"max t=1 endpoint gap {worst:.3e} (tol 1e-10)"
 

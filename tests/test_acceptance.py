@@ -32,7 +32,8 @@ ROW = re.compile(r"^(PASS|FAIL)  (\S+) +(\d+\.\d+)s  (.*)$")
 def selftest_run():
     start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "stiefel_retract.cli", "selftest"],
+        # The pytest warnings filter does not reach a child process.
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "stiefel_retract.cli", "selftest"],
         capture_output=True,
         text=True,
         timeout=120,

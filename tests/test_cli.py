@@ -90,6 +90,39 @@ class TestRetract:
         assert run(["retract", "--dims", "6x3", "--seed", "5", "--output", str(out)]) == 0
         assert np.array_equal(matrix_from_object(json.loads(out.read_text())["frame"]), frame)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "name,content",
+        [
+            ("big.json", b'{"rows": 1, "cols": 1, "data": [1' + b"0" * 400 + b"]}"),
+            ("deep.json", b"[" * 100000 + b"]" * 100000),
+            ("bytes.csv", b"1.0,\xff\n"),
+        ],
+        ids=["integer-past-the-float-range", "deep-nesting", "invalid-byte"],
+    )
+    def test_malformed_input_exits_2(self, name, content, tmp_path, capsys):
+        src = tmp_path / name
+        src.write_bytes(content)
+        fmt = src.suffix[1:]
+        assert run(["retract", "--input", str(src), "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_triangle_outside_the_float_range(self, tmp_path, capsys):
+        # Valid input whose R lies past the float range: retract succeeds,
+        # and every subcommand that needs R exits 3 with one error line.
+        src = tmp_path / "huge.json"
+        src.write_text(format_matrix_json(np.array([[1.5e308, 1.5e308], [1.5e308, -1.5e308]])))
+        assert run(["retract", "--input", str(src)]) == 0
+        assert capsys.readouterr().err == ""
+        for sub in ("qr", "path", "check"):
+            assert run([sub, "--input", str(src)]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
 
 class TestQr:
     def test_identity(self, tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from stiefel_retract import (
     DimensionError,
+    InternalRankLossError,
     NumericalRankLossError,
     RankDeficientError,
     coefficient_matrix,
@@ -20,6 +21,7 @@ from stiefel_retract import (
     validate_injective,
 )
 from stiefel_retract import core, gram_schmidt
+from stiefel_retract.equivariance import check_equivariance, random_rotation
 from stiefel_retract.core import DEFAULT_TOL_RANK, max_abs, orthonormality_defect
 from stiefel_retract.sampling import (
     conditioned_injective,
@@ -31,6 +33,10 @@ HAND_INPUT = np.array([[2.0, 1.0], [0.0, 3.0]])
 HAND_COEFF = np.array([[0.5, -1.0 / 6.0], [0.0, 1.0 / 3.0]])
 # Subnormal entries: valid input whose coefficients (about 1e310) overflow.
 TINY_INPUT = np.random.default_rng(0).standard_normal((5, 3)) * 1e-310
+
+# Orthogonal columns of norm about 2.1e308: valid input with condition 1,
+# whose R (and with it M) lies past the float range while its frame does not.
+HUGE_INPUT = np.array([[1.5e308, 1.5e308], [1.5e308, -1.5e308]])
 
 
 def _inductive_coefficients(a: np.ndarray) -> np.ndarray:
@@ -330,6 +336,32 @@ class TestHomotopyStepOnFactor:
         trace_path(conditioned_injective(rng, 6, 3, 1e3), 3)
         assert calls.count("tri_solve_inverse") == 2
 
+
+
+class TestTriangleOutsideTheFloatRange:
+    @pytest.mark.filterwarnings("error")
+    def test_every_caller_that_needs_r_raises_a_rank_error(self):
+        alpha = validate_injective(HUGE_INPUT)
+        assert alpha.condition_estimate <= 1.0 + 4 * np.finfo(float).eps
+        for fn in (
+            orthonormalize,
+            coefficient_matrix,
+            qr_decompose,
+            lambda a: trace_path(a, 3),
+            lambda a: check_equivariance(a, random_rotation(2, seed=5)),
+        ):
+            with pytest.raises(NumericalRankLossError, match="outside the float range"):
+                fn(alpha)
+        with pytest.raises(InternalRankLossError, match=r"t=0\.5 failed revalidation"):
+            homotopy_step(alpha, 0.5)
+
+    @pytest.mark.filterwarnings("error")
+    def test_retract_still_returns_the_frame(self):
+        alpha = validate_injective(HUGE_INPUT)
+        frame = retract(alpha).matrix
+        expected = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+        assert max_abs(frame - expected) <= 1e-15
+        assert np.array_equal(homotopy_step(alpha, 1.0).matrix, frame)
 
 class TestQrDecompose:
     def test_identity(self):

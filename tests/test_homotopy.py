@@ -422,6 +422,35 @@ class TestStraightLinePath:
             trace_path(alpha, 3)
 
 
+    def test_every_sample_goes_through_the_step(self, monkeypatch):
+        times = []
+        step = homotopy._step
+
+        def counted(alpha, end, r, t):
+            times.append(t)
+            return step(alpha, end, r, t)
+
+        monkeypatch.setattr(homotopy, "_step", counted)
+        alpha = validate_injective(HAND_INPUT)
+        for n in (2, 3, 11):
+            times.clear()
+            path = trace_path(alpha, n)
+            assert times == [s.t for s in path.samples]
+
+    def test_endpoints_need_no_certificate(self, monkeypatch):
+        # t = 0 is the input and t = 1 the product alpha @ M with condition
+        # 1, so a two-sample path certifies nothing.
+        def refuse(raw):
+            raise RankDeficientError("injected")
+
+        alpha = validate_injective(HAND_INPUT)
+        end = alpha.matrix @ coefficient_matrix(alpha).to_dense()
+        monkeypatch.setattr(homotopy, "validate_injective", refuse)
+        path = trace_path(alpha, 2)
+        assert path.samples[0].point is alpha
+        assert np.array_equal(path.samples[1].point.matrix, end)
+        assert path.samples[1].point.condition_estimate == 1.0
+
 class TestContinuity:
     def test_steps_bounded_by_coefficient_gap(self):
         rng = np.random.default_rng(31)

@@ -95,3 +95,14 @@ def test_csv_blocks_round_trip():
     assert len(parsed) == 2
     for a, b in zip(mats, parsed):
         assert np.array_equal(a, b)
+
+
+def test_json_integer_past_the_float_range_rejected():
+    text = '{"rows": 1, "cols": 1, "data": [1' + "0" * 400 + "]}"
+    with pytest.raises(MatrixFormatError, match="float range"):
+        parse_matrix_json(text)
+
+
+def test_json_nesting_past_the_recursion_limit_rejected():
+    with pytest.raises(MatrixFormatError, match="invalid JSON"):
+        parse_matrix_json("[" * 100000 + "]" * 100000)
