@@ -22,7 +22,6 @@ from .core import (
 from .equivariance import (
     EquivarianceReport,
     act,
-    act_on_frame,
     check_equivariance,
     random_rotation,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "UpperTriangularPositive",
     "ZeroVectorError",
     "act",
-    "act_on_frame",
     "check_equivariance",
     "coefficient_matrix",
     "homotopy_step",

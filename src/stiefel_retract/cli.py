@@ -20,13 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import selftest as selftest_mod
-from .core import InjectiveMap, orthonormality_defect, validate_injective
-from .equivariance import (
-    DEFAULT_T_SAMPLES,
-    check_equivariance,
-    random_rotation,
-    report_to_json_obj,
-)
+from .core import InjectiveMap, max_abs, orthonormality_defect, validate_injective
+from .equivariance import check_equivariance, random_rotation, report_to_json_obj
 from .errors import (
     DimensionError,
     InternalRankLossError,
@@ -74,8 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_io(p):
-        p.add_argument("--input", dest="input_path", metavar="PATH")
-        p.add_argument("--dims", type=_parse_dims, metavar="MxD")
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--input", dest="input_path", metavar="PATH")
+        source.add_argument("--dims", type=_parse_dims, metavar="MxD")
         p.add_argument("--output", dest="output_path", metavar="PATH")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--seed", type=int)
@@ -89,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--tolerance", type=float, default=1e-9)
     check.add_argument("--batch", type=int, default=1)
     st = sub.add_parser("selftest", help="run the acceptance criteria")
-    st.add_argument("--seed", type=int)
+    st.add_argument("--seed", type=int, default=selftest_mod.DEFAULT_SEED)
     return parser
 
 
@@ -106,8 +102,6 @@ def parse_config(argv) -> argparse.Namespace:
     if ns.seed is not None and ns.seed < 0:
         parser.error("--seed must be non-negative")
     if ns.subcommand != "selftest":
-        if (ns.input_path is None) == (ns.dims is None):
-            parser.error("provide exactly one of --input and --dims")
         if ns.dims is not None and ns.seed is None:
             parser.error("--seed is required when generating from --dims")
         if ns.subcommand == "path" and ns.steps < 2:
@@ -186,19 +180,20 @@ def cmd_path(cfg: argparse.Namespace) -> int:
 
 def cmd_qr(cfg: argparse.Namespace) -> int:
     alpha = _obtain_input(cfg, square=True)
-    q, r = qr_decompose(alpha)
-    defect = float(np.max(np.abs(q.matrix @ r.to_dense() - alpha.matrix)))
+    q, packed = qr_decompose(alpha)
+    r = packed.to_dense()
+    defect = max_abs(q.matrix @ r - alpha.matrix)
     if cfg.format == "json":
         payload = json.dumps(
             {
                 "q": matrix_to_object(q.matrix),
-                "r": matrix_to_object(r.to_dense()),
+                "r": matrix_to_object(r),
                 "reconstruction_defect": defect,
             }
         )
         _write_output(cfg, payload + "\n")
     else:
-        _write_output(cfg, format_matrix_blocks_csv([q.matrix, r.to_dense()]))
+        _write_output(cfg, format_matrix_blocks_csv([q.matrix, r]))
         print(json.dumps({"reconstruction_defect": defect}), file=sys.stderr)
     return EXIT_OK
 
@@ -211,7 +206,7 @@ def _check_item(cfg: argparse.Namespace, index: int, fixed: InjectiveMap | None)
         alpha, _ = generate_injective(rng, *cfg.dims)
     rotation_seed = int(rng.integers(0, 2**63))
     o = random_rotation(alpha.matrix.shape[0], rotation_seed)
-    return check_equivariance(alpha, o, DEFAULT_T_SAMPLES, cfg.tolerance)
+    return check_equivariance(alpha, o, tolerance=cfg.tolerance)
 
 
 def cmd_check(cfg: argparse.Namespace) -> int:
@@ -225,8 +220,7 @@ def cmd_check(cfg: argparse.Namespace) -> int:
 
 
 def cmd_selftest(cfg: argparse.Namespace) -> int:
-    seed = cfg.seed if cfg.seed is not None else selftest_mod.DEFAULT_SEED
-    results = selftest_mod.run_all(seed)
+    results = selftest_mod.run_all(cfg.seed)
     print(selftest_mod.format_table(results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_PROPERTY
 

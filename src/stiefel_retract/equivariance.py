@@ -15,10 +15,8 @@ import numpy as np
 from .core import (
     InjectiveMap,
     Rotation,
-    StiefelFrame,
     include_frame,
     max_abs,
-    validate_frame,
     validate_injective,
     validate_rotation,
 )
@@ -65,15 +63,6 @@ def act(o: Rotation, alpha: InjectiveMap) -> InjectiveMap:
             f"rotation is {o.dim}x{o.dim} but map has {alpha.matrix.shape[0]} rows"
         )
     return validate_injective(o.matrix @ alpha.matrix)
-
-
-def act_on_frame(o: Rotation, frame: StiefelFrame) -> StiefelFrame:
-    """Left-multiply a frame by a rotation; the result is again a frame."""
-    if o.dim != frame.matrix.shape[0]:
-        raise DimensionError(
-            f"rotation is {o.dim}x{o.dim} but frame has {frame.matrix.shape[0]} rows"
-        )
-    return validate_frame(o.matrix @ frame.matrix)
 
 
 def check_equivariance(

@@ -13,6 +13,8 @@ import time
 
 import pytest
 
+from stiefel_retract import UpperTriangularPositive, homotopy, selftest
+
 CRITERIA = [
     (1, "criterion-1-orthonormality", 10.0),
     (2, "criterion-2-homotopy-endpoints", None),
@@ -74,3 +76,19 @@ def test_criterion_9_selftest_under_a_minute(selftest_run):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert elapsed < 60.0
     assert "FAIL" not in proc.stdout
+
+
+def test_criterion_2_fails_on_a_perturbed_coefficient_matrix(monkeypatch):
+    # A coefficient matrix off by 1e-8 relative moves trace_path's t = 1
+    # point off the frame; the row reads that point, so it must fail.
+    real = homotopy.coefficient_matrix
+
+    def perturbed(alpha):
+        return UpperTriangularPositive.from_dense(real(alpha).to_dense() * (1.0 + 1e-8))
+
+    name = "criterion-2-homotopy-endpoints"
+    monkeypatch.setattr(homotopy, "coefficient_matrix", perturbed)
+    monkeypatch.setattr(selftest, "REGISTRY", [e for e in selftest.REGISTRY if e[0] == name])
+    [result] = selftest.run_all()
+    assert result.name == name
+    assert not result.passed, result.detail

@@ -1,5 +1,6 @@
-"""Checks on the package surface and its source: one tolerance knob, and no
-imports left behind when code is removed."""
+"""Checks on the package surface and its source: one tolerance knob, no
+imports left behind when code is removed, and private helpers shared between
+modules only where listed."""
 
 import ast
 import inspect
@@ -58,6 +59,26 @@ def test_no_unused_imports(path):
         name: line for name, line in _imported_names(tree).items() if name not in used
     }
     assert unused == {}
+
+
+def test_private_names_cross_modules_only_where_listed():
+    # A private helper imported by another module is shared code its owner
+    # can no longer change alone, so every such import is listed here.
+    crossing = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                crossing.update(
+                    (path.stem, node.module, alias.name)
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                )
+    assert crossing <= {
+        ("homotopy", "gram_schmidt", "_factor"),
+        ("equivariance", "homotopy", "_check_unit_interval"),
+        ("equivariance", "homotopy", "_step"),
+    }
 
 
 def _named(tree: ast.Module) -> set[str]:

@@ -230,6 +230,23 @@ class TestPath:
             run(["path", "--dims", "4x2", "--seed", "7", "--steps", "1"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="path ends at alpha @ M, whose orthogonality defect 1.173e-10 "
+        "exceeds the endpoint tolerance here; retract's frame meets it",
+    )
+    def test_lauchli_input_inside_the_guarantee(self, tmp_path, capsys):
+        # [1 ... 1; eps * I_40] with eps = sqrt(41) / 9e5, condition 8.89e5.
+        src = tmp_path / "lauchli.json"
+        eps = np.sqrt(41) / 9e5
+        src.write_text(format_matrix_json(np.vstack([np.ones((1, 40)), eps * np.eye(40)])))
+        out = tmp_path / "out.json"
+        codes = [
+            run([sub, "--input", str(src), "--output", str(out)]) for sub in ("retract", "path")
+        ]
+        assert codes == [0, 0], capsys.readouterr().err
+
 
 class TestCheck:
     def test_batch_passes(self, capsys):

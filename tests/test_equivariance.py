@@ -5,7 +5,6 @@ from stiefel_retract import (
     DimensionError,
     DomainError,
     act,
-    act_on_frame,
     check_equivariance,
     coefficient_matrix,
     interpolant,
@@ -128,16 +127,6 @@ class TestAct:
         alpha, _ = generate_injective(np.random.default_rng(2), 4, 2)
         with pytest.raises(DimensionError):
             act(validate_rotation(np.eye(3)), alpha)
-
-    def test_acting_on_frame_gives_frame(self):
-        rng = np.random.default_rng(35)
-        for _ in range(10):
-            m, d = random_dims(rng, 16)
-            alpha, _ = generate_injective(rng, m, d, max_condition=1e6)
-            frame = retract(alpha)
-            o = random_rotation(m, int(rng.integers(0, 2**63)))
-            rotated = act_on_frame(o, frame)
-            assert rotated.shape == frame.shape
 
 
 class TestCheckEquivariance:

@@ -372,6 +372,24 @@ def test_endpoint_meets_tolerance_near_guarantee_boundary():
         trace_path(conditioned_injective(rng, m, d, 9e5), 2)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=InternalRankLossError,
+    reason="the t = 1 point alpha @ M misses the frame by up to 3.2e-10 on "
+    "Läuchli matrices inside the guaranteed regime",
+)
+def test_endpoint_is_the_frame_on_lauchli_matrices():
+    # [1 ... 1; eps * I_n], the textbook hard case for Gram-Schmidt (Läuchli,
+    # Numer. Math. 3, 1961), at condition estimates between 5e5 and 9.9e5.
+    for n in (30, 40, 50, 63, 100, 200):
+        for c in (5e5, 9e5, 9.7e5, 9.9e5):
+            eps = math.sqrt(n + 1) / c
+            alpha = validate_injective(np.vstack([np.ones((1, n)), eps * np.eye(n)]))
+            assert alpha.condition_estimate <= 9.9e5
+            end = trace_path(alpha, 2).samples[-1].point
+            assert max_abs(end.matrix - retract(alpha).matrix) <= 1e-10
+
+
 def _seeded_paths(n=33):
     rng = np.random.default_rng(44)
     for condition in (1.0, 1e2, 1e4, 1e5, 9e5):
