@@ -3,7 +3,8 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail line
 per criterion. The checks themselves live in ``stiefel_retract.selftest``;
 the CLI ``selftest`` subcommand runs once per session and each criterion
-reads its row from that table.
+reads its row from that table. The fault tests at the end run one criterion
+in process with a fault in the library code it reads and require FAIL.
 """
 
 import re
@@ -13,7 +14,15 @@ import time
 
 import pytest
 
-from stiefel_retract import UpperTriangularPositive, homotopy, selftest
+from stiefel_retract import (
+    StiefelFrame,
+    UpperTriangularPositive,
+    equivariance,
+    gram_schmidt,
+    homotopy,
+    selftest,
+    validate_injective,
+)
 
 CRITERIA = [
     (1, "criterion-1-orthonormality", 10.0),
@@ -78,6 +87,27 @@ def test_criterion_9_selftest_under_a_minute(selftest_run):
     assert "FAIL" not in proc.stdout
 
 
+def _run_row(monkeypatch, name):
+    monkeypatch.setattr(selftest, "REGISTRY", [e for e in selftest.REGISTRY if e[0] == name])
+    [result] = selftest.run_all()
+    assert result.name == name
+    return result
+
+
+def test_criterion_1_fails_on_a_scaled_frame(monkeypatch):
+    # Columns of norm 1 + 1e-9 miss orthonormality by about 2e-9, twenty
+    # times the row's tolerance.
+    real = gram_schmidt._factor
+
+    def scaled(alpha):
+        frame, r = real(alpha)
+        return StiefelFrame(matrix=frame.matrix * (1.0 + 1e-9)), r
+
+    monkeypatch.setattr(gram_schmidt, "_factor", scaled)
+    result = _run_row(monkeypatch, "criterion-1-orthonormality")
+    assert not result.passed, result.detail
+
+
 def test_criterion_2_fails_on_a_perturbed_coefficient_matrix(monkeypatch):
     # A coefficient matrix off by 1e-8 relative moves trace_path's t = 1
     # point off the frame; the row reads that point, so it must fail.
@@ -86,9 +116,34 @@ def test_criterion_2_fails_on_a_perturbed_coefficient_matrix(monkeypatch):
     def perturbed(alpha):
         return UpperTriangularPositive.from_dense(real(alpha).to_dense() * (1.0 + 1e-8))
 
-    name = "criterion-2-homotopy-endpoints"
     monkeypatch.setattr(homotopy, "coefficient_matrix", perturbed)
-    monkeypatch.setattr(selftest, "REGISTRY", [e for e in selftest.REGISTRY if e[0] == name])
-    [result] = selftest.run_all()
-    assert result.name == name
+    result = _run_row(monkeypatch, "criterion-2-homotopy-endpoints")
+    assert not result.passed, result.detail
+
+
+def test_criterion_3_fails_on_a_wrong_certificate(monkeypatch):
+    # A step certificate with rank threshold 0.5 rejects points that are
+    # injective; the row reads trace_path's certificates, so it must fail.
+    monkeypatch.setattr(
+        homotopy, "validate_injective", lambda raw: validate_injective(raw, tol_rank=0.5)
+    )
+    result = _run_row(monkeypatch, "criterion-3-rank-along-path")
+    assert not result.passed, result.detail
+
+
+def test_criterion_5_fails_on_a_scaled_triangle(monkeypatch):
+    real = selftest.qr_decompose
+
+    def scaled(alpha):
+        q, r = real(alpha)
+        return q, UpperTriangularPositive.from_dense(r.to_dense() * (1.0 + 1e-8))
+
+    monkeypatch.setattr(selftest, "qr_decompose", scaled)
+    result = _run_row(monkeypatch, "criterion-5-qr-vs-householder")
+    assert not result.passed, result.detail
+
+
+def test_criterion_7_fails_when_the_action_drops_the_rotation(monkeypatch):
+    monkeypatch.setattr(equivariance, "act", lambda o, alpha: alpha)
+    result = _run_row(monkeypatch, "criterion-7-equivariance-suite")
     assert not result.passed, result.detail

@@ -1,6 +1,6 @@
 """Checks on the package surface and its source: one tolerance knob, no
-imports left behind when code is removed, and private helpers shared between
-modules only where listed."""
+imports left behind when code is removed, private helpers shared between
+modules only where listed, and acceptance criteria that restate no kernel."""
 
 import ast
 import inspect
@@ -104,3 +104,23 @@ def test_only_core_knows_the_packed_triangle():
         if "_triangle_layout" in _named(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert naming == ["core.py"]
+
+
+def test_selftest_runs_no_linear_algebra_kernel_of_its_own():
+    # Each criterion reads the library's results, so a fault in a kernel
+    # fails its row; a criterion with its own SVD or solve would check a
+    # copy instead. Norms of the gaps it reports are the one exception.
+    path = Path(stiefel_retract.__file__).parent / "selftest.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    linalg = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and ast.unparse(node.value).split(".")[-1] == "linalg"
+    }
+    imported = [
+        node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and "linalg" in (node.module or "")
+    ]
+    assert linalg <= {"norm"} and imported == []

@@ -287,7 +287,8 @@ class TestCoefficientMatrix:
 
         family = selftest._Context(selftest.DEFAULT_SEED).family()
         assert len(family) == 1000
-        for alpha, res in family:
+        for alpha, _ in family:
+            res = orthonormalize(alpha)
             coeff = res.coefficient_matrix
             dense = coeff.to_dense()
             assert max_abs(alpha.matrix @ dense - res.frame.matrix) <= 1e-10
