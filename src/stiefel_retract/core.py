@@ -55,19 +55,27 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
 
 
-def orthonormality_defect(a: np.ndarray) -> float:
+def orthonormality_defect(a: np.ndarray):
     """Max-abs deviation of ``a.T @ a`` from the identity.
 
-    Entries past about 1e154 overflow the Gram product, and the defect is
-    then ``inf``, without a warning.
+    For a stack ``(n, m, d)`` the result is the array of the n defects, from
+    one batched product. Entries past about 1e154 overflow the Gram product,
+    and the defect is then ``inf``, without a warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = a.T @ a
-    gram.flat[:: a.shape[1] + 1] -= 1.0
-    defect = max_abs(gram)
+        gram = a.swapaxes(-1, -2) @ a
+    d = a.shape[-1]
     # Overflowing products of both signs sum to NaN, which no ``<=`` gate
-    # would catch; it means the same as an overflow.
-    return math.inf if math.isnan(defect) else defect
+    # would catch; it means the same as an overflow. A single matrix takes
+    # the leaner scalar path: most callers check one frame per call.
+    if a.ndim == 2:
+        gram.flat[:: d + 1] -= 1.0
+        defect = max_abs(gram)
+        return math.inf if math.isnan(defect) else defect
+    gram.reshape(-1, d * d)[:, :: d + 1] -= 1.0
+    defect = np.abs(gram).max(axis=(-2, -1), initial=0.0)
+    defect[np.isnan(defect)] = math.inf
+    return defect
 
 
 @dataclass(frozen=True)
@@ -180,6 +188,33 @@ class UpperTriangularPositive:
         return a
 
 
+def condition_estimates(a: np.ndarray, tol_rank: float) -> list[float]:
+    """Largest-to-smallest singular-value ratio of a finite matrix, or of
+    each matrix of a stack ``(n, m, d)``, from one SVD call.
+
+    This is the rank rule: a matrix counts as injective when its smallest
+    singular value exceeds ``tol_rank`` times its largest. Otherwise
+    ``RankDeficientError`` is raised, for the first such matrix of a stack.
+    """
+    sv = np.linalg.svd(a, compute_uv=False)
+    conditions = []
+    for k, row in enumerate(sv.tolist() if sv.ndim > 1 else [sv.tolist()]):
+        if not (math.isfinite(row[0]) and math.isfinite(row[-1])):
+            # The SVD overflowed on huge finite entries. One exact power of
+            # two brings max|a| into [0.5, 1) and leaves the ratio unchanged.
+            block = a.reshape(-1, *a.shape[-2:])[k]
+            scaled = np.ldexp(block, -math.frexp(max_abs(block))[1])
+            row = np.linalg.svd(scaled, compute_uv=False).tolist()
+        largest, smallest = row[0], row[-1]
+        if smallest <= tol_rank * largest:
+            raise RankDeficientError(
+                f"columns are not independent at tol_rank={tol_rank:g}: "
+                f"singular-value ratio {smallest / largest if largest else 0.0:.3e}"
+            )
+        conditions.append(largest / smallest)
+    return conditions
+
+
 def validate_injective(raw, tol_rank: float = DEFAULT_TOL_RANK) -> InjectiveMap:
     """Validate an m x d matrix as an injective linear map.
 
@@ -196,18 +231,7 @@ def validate_injective(raw, tol_rank: float = DEFAULT_TOL_RANK) -> InjectiveMap:
     m, d = a.shape
     if d > m:
         raise DimensionError(f"need d <= m for an injective map, got {m}x{d}")
-    sv = np.linalg.svd(a, compute_uv=False)
-    if not (math.isfinite(sv[0]) and math.isfinite(sv[-1])):
-        # The SVD overflowed on huge finite entries. One exact power of two
-        # brings max|a| into [0.5, 1) and leaves the ratio unchanged.
-        sv = np.linalg.svd(np.ldexp(a, -math.frexp(max_abs(a))[1]), compute_uv=False)
-    largest, smallest = float(sv[0]), float(sv[-1])
-    if smallest <= tol_rank * largest:
-        raise RankDeficientError(
-            f"columns are not independent at tol_rank={tol_rank:g}: "
-            f"singular-value ratio {smallest / largest if largest else 0.0:.3e}"
-        )
-    return InjectiveMap(matrix=a, condition_estimate=largest / smallest)
+    return InjectiveMap(matrix=a, condition_estimate=condition_estimates(a, tol_rank)[0])
 
 
 def validate_frame(raw) -> StiefelFrame:

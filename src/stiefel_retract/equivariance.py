@@ -96,11 +96,10 @@ def check_equivariance(
     coefficient_defect = max_abs(
         moved.coefficient_matrix.packed - base.coefficient_matrix.packed
     )
-    left = (rotated, include_frame(moved.frame), moved.triangular_factor.to_dense())
-    right = (alpha, include_frame(base.frame), base.triangular_factor.to_dense())
+    left, _ = _step(rotated, include_frame(moved.frame), moved.triangular_factor.to_dense(), ts)
+    right, _ = _step(alpha, include_frame(base.frame), base.triangular_factor.to_dense(), ts)
     homotopy_defects = [
-        (t, max_abs(_step(*left, t).matrix - o.matrix @ _step(*right, t).matrix))
-        for t in ts
+        (t, max_abs(p.matrix - o.matrix @ q.matrix)) for t, p, q in zip(ts, left, right)
     ]
     coeff_scale = max(1.0, max_abs(base.coefficient_matrix.packed))
     input_scale = max_abs(alpha.matrix)

@@ -9,11 +9,13 @@ at t = 1 it lands on the Gram-Schmidt frame.
 Since alpha @ M = Q, the point at time t is (1 - t) * alpha + t * Q, and with
 R = M^-1 it equals Q @ ((1 - t) * R + t * I): a thin QR factorization whose
 d x d triangle has diagonal (1 - t) * r_ii + t > 0. The point's singular
-values are that triangle's, so every point is certified with a d x d SVD
-rather than an m x d one. One step rule, ``_step``, forms every point from an
-endpoint and R. ``homotopy_step`` and ``check_equivariance`` pass the sweep's
-frame, so t = 1 is the frame bit for bit. ``trace_path`` passes alpha @ M,
-which is accurate only to about eps * condition.
+values are that triangle's, so points are certified with d x d SVDs rather
+than m x d ones. One step rule, ``_step``, forms every point from an
+endpoint, R and a sequence of times; two or more points in between are one
+stack, certified by one batched SVD of their triangles. ``homotopy_step`` and
+``check_equivariance`` pass the sweep's frame, so t = 1 is the frame bit for
+bit. ``trace_path`` passes alpha @ M, which is accurate only to about
+eps * condition.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .core import (
     InjectiveMap,
     UpperTriangularPositive,
     as_matrix,
+    condition_estimates,
     include_frame,
     max_abs,
     orthonormality_defect,
@@ -87,29 +90,81 @@ def interpolant(alpha: InjectiveMap, t: float) -> UpperTriangularPositive:
     return _interpolate(coefficient_matrix(alpha), t)
 
 
-def _step(alpha: InjectiveMap, end: InjectiveMap, r: np.ndarray, t: float) -> InjectiveMap:
-    """The homotopy point (1 - t) * alpha + t * end, where ``end`` is alpha's
-    frame Q or alpha @ M and ``r`` the dense R of alpha = Q @ R.
+def _certificates(inner, points: np.ndarray, triangles: np.ndarray) -> list[float]:
+    """Condition estimates of the points at the times ``inner``, one matrix
+    or a stack, from one call of the rank rule on their triangles.
 
-    Both endpoints are returned as they are. In between, the point is
-    Q @ ((1 - t) * R + t * I), certified (rank and condition estimate) through
-    that d x d triangle; a failure raises ``InternalRankLossError`` naming t.
+    A failure raises ``InternalRankLossError`` naming the smallest failing t
+    (``inner`` is ascending), with the error that its point and triangle give
+    on their own.
     """
-    if t == 0.0:
-        # Returning the input object keeps the t = 0 endpoint exact instead
-        # of tolerance-based.
-        return alpha
-    if t == 1.0:
-        # The certificate would be the SVD of the identity, which cannot fail.
-        return end
     try:
-        matrix = as_matrix((1.0 - t) * alpha.matrix + t * end.matrix)
-        certificate = validate_injective((1.0 - t) * r + t * np.eye(r.shape[0]))
-    except (RankDeficientError, NonFiniteError) as exc:
-        raise InternalRankLossError(
-            f"homotopy point at t={t:g} failed revalidation: {exc}"
-        ) from exc
-    return InjectiveMap(matrix=matrix, condition_estimate=certificate.condition_estimate)
+        if not (np.isfinite(points).all() and np.isfinite(triangles).all()):
+            raise NonFiniteError("a homotopy point or triangle is not finite")
+        return condition_estimates(triangles, DEFAULT_TOL_RANK)
+    except (RankDeficientError, NonFiniteError):
+        # Revalidating t by t finds the first failure, and the point's
+        # error wins over its triangle's.
+        m, d = points.shape[-2:]
+        for t, point, triangle in zip(
+            inner, np.reshape(points, (-1, m, d)), np.reshape(triangles, (-1, d, d))
+        ):
+            try:
+                as_matrix(point)
+                validate_injective(triangle)
+            except (RankDeficientError, NonFiniteError) as exc:
+                raise InternalRankLossError(
+                    f"homotopy point at t={t:g} failed revalidation: {exc}"
+                ) from exc
+        raise
+
+
+def _step(alpha: InjectiveMap, end: InjectiveMap, r: np.ndarray, ts):
+    """The homotopy points (1 - t) * alpha + t * end for the times ``ts``,
+    where ``end`` is alpha's frame Q or alpha @ M and ``r`` the dense R of
+    alpha = Q @ R.
+
+    Returns the points in the order of ``ts``, and the stack of the d x d
+    triangles (1 - t) * R + t * I of the times strictly inside (0, 1),
+    ascending. Both endpoints are returned as they are. A point in between
+    equals Q @ ((1 - t) * R + t * I), so its triangle certifies it (rank and
+    condition estimate). Two or more such points are read-only views into
+    one stack, certified together by one batched SVD of their triangles. A
+    failure raises ``InternalRankLossError`` naming the smallest failing t.
+    """
+    inner = [t for t in ts if 0.0 < t < 1.0]
+    m, d = alpha.shape
+    if len(inner) == 1:
+        # A lone time, as homotopy_step asks for, is formed as one matrix:
+        # per call, building a stack of one costs more than batching saves.
+        [t] = inner
+        point = np.multiply(1.0 - t, alpha.matrix, order="F")
+        point += t * end.matrix
+        triangle = (1.0 - t) * r
+        triangle += t * np.eye(d)
+        [condition] = _certificates(inner, point, triangle)
+        point.setflags(write=False)
+        point = InjectiveMap(matrix=point, condition_estimate=condition)
+        return [alpha if s == 0.0 else end if s == 1.0 else point for s in ts], triangle[None]
+    inner = sorted(set(inner))
+    n = len(inner)
+    points = {0.0: alpha, 1.0: end}
+    # Each point is an F-contiguous (m, d) view into one stack. Filling the
+    # points t by t keeps the temporaries point-sized.
+    stack = np.empty((n, d, m)).transpose(0, 2, 1)
+    triangles = np.empty((n, d, d))
+    eye = np.eye(d)
+    for point, triangle, t in zip(stack, triangles, inner):
+        np.multiply(1.0 - t, alpha.matrix, out=point)
+        point += t * end.matrix
+        np.multiply(1.0 - t, r, out=triangle)
+        triangle += t * eye
+    stack.setflags(write=False)
+    if inner:
+        conditions = _certificates(inner, stack, triangles)
+        for t, point, condition in zip(inner, stack, conditions):
+            points[t] = InjectiveMap(matrix=point, condition_estimate=condition)
+    return [points[t] for t in ts], triangles
 
 
 def homotopy_step(alpha: InjectiveMap, t: float) -> InjectiveMap:
@@ -127,7 +182,7 @@ def homotopy_step(alpha: InjectiveMap, t: float) -> InjectiveMap:
     if t == 0.0:
         return alpha
     frame, r = _factor(alpha)
-    return _step(alpha, include_frame(frame), r, t)
+    return _step(alpha, include_frame(frame), r, (t,))[0][0]
 
 
 def sphere_interpolant(v, t: float) -> np.ndarray:
@@ -161,13 +216,16 @@ def sphere_interpolant(v, t: float) -> np.ndarray:
 def trace_path(alpha: InjectiveMap, n: int) -> HomotopyPath:
     """Sample the homotopy at n uniform times t_k = k / (n - 1).
 
-    M, the endpoint alpha @ M and R = M^-1 are computed once, and every
-    sample is the step (1 - t) * alpha + t * (alpha @ M), certified through
-    (1 - t) * R + t * I. The endpoint is alpha @ M bit for bit, accurate only
-    to about eps * condition. Each sample records the minimum interpolant
-    diagonal and the orthogonality defect of the point. Within the
-    guaranteed condition regime the t = 1 defect must meet the 1e-10
-    orthogonality tolerance; beyond it, it is a diagnostic only.
+    M, the endpoint alpha @ M and R = M^-1 are computed once, and one call of
+    the step forms every sample (1 - t) * alpha + t * (alpha @ M), certifying
+    the interior ones together through their triangles (1 - t) * R + t * I.
+    The endpoint is alpha @ M bit for bit, accurate only to about
+    eps * condition. Each sample records the minimum interpolant diagonal
+    and an orthogonality defect: of the point itself at t = 0 and t = 1, and
+    of its triangle in between, which equals the point's in exact
+    arithmetic. Within the guaranteed condition regime the t = 1 defect must
+    meet the 1e-10 orthogonality tolerance; beyond it, it is a diagnostic
+    only.
     """
     if n < 2:
         raise DomainError(f"need at least 2 samples, got {n}")
@@ -181,18 +239,19 @@ def trace_path(alpha: InjectiveMap, n: int) -> HomotopyPath:
         raise InternalRankLossError(
             f"triangular factor R = M^-1 failed revalidation: {exc}"
         ) from exc
-    samples = []
-    for k in range(n):
-        t = k / (n - 1)
-        point = _step(alpha, end, r, t)
-        samples.append(
-            PathSample(
-                t=t,
-                point=point,
-                min_interpolant_diag=float(np.min((1.0 - t) + t * diag)),
-                ortho_defect=orthonormality_defect(point.matrix),
-            )
-        )
+    ts = [k / (n - 1) for k in range(n)]
+    points, triangles = _step(alpha, end, r, ts)
+    defects = [
+        orthonormality_defect(alpha.matrix),
+        *orthonormality_defect(triangles).tolist(),
+        orthonormality_defect(end.matrix),
+    ]
+    s = np.array(ts)[:, None]
+    min_diags = ((1.0 - s) + s * diag).min(axis=1).tolist()
+    samples = [
+        PathSample(t=t, point=point, min_interpolant_diag=low, ortho_defect=defect)
+        for t, point, low, defect in zip(ts, points, min_diags, defects)
+    ]
     if (
         alpha.condition_estimate <= GUARANTEE_CONDITION
         and samples[-1].ortho_defect > DEFAULT_TOL_ORTHO

@@ -21,7 +21,6 @@ from stiefel_retract import (
     gram_schmidt,
     homotopy,
     selftest,
-    validate_injective,
 )
 
 CRITERIA = [
@@ -122,12 +121,23 @@ def test_criterion_2_fails_on_a_perturbed_coefficient_matrix(monkeypatch):
 
 
 def test_criterion_3_fails_on_a_wrong_certificate(monkeypatch):
-    # A step certificate with rank threshold 0.5 rejects points that are
+    # Step certificates with rank threshold 0.5 reject points that are
     # injective; the row reads trace_path's certificates, so it must fail.
-    monkeypatch.setattr(
-        homotopy, "validate_injective", lambda raw: validate_injective(raw, tol_rank=0.5)
-    )
+    certify, validate = homotopy.condition_estimates, homotopy.validate_injective
+    monkeypatch.setattr(homotopy, "condition_estimates", lambda a, tol_rank: certify(a, 0.5))
+    monkeypatch.setattr(homotopy, "validate_injective", lambda raw: validate(raw, tol_rank=0.5))
     result = _run_row(monkeypatch, "criterion-3-rank-along-path")
+    assert not result.passed, result.detail
+
+
+def test_criterion_4_fails_when_frames_get_a_coefficient_matrix_off_the_identity(monkeypatch):
+    real = selftest.coefficient_matrix
+
+    def scaled(alpha):
+        return UpperTriangularPositive.from_dense(real(alpha).to_dense() * (1.0 + 1e-8))
+
+    monkeypatch.setattr(selftest, "coefficient_matrix", scaled)
+    result = _run_row(monkeypatch, "criterion-4-isometry-fixed-point")
     assert not result.passed, result.detail
 
 
@@ -143,7 +153,30 @@ def test_criterion_5_fails_on_a_scaled_triangle(monkeypatch):
     assert not result.passed, result.detail
 
 
+def test_criterion_6_fails_on_a_closed_form_off_by_1e_10(monkeypatch):
+    real = selftest.sphere_interpolant
+    monkeypatch.setattr(
+        selftest, "sphere_interpolant", lambda v, t: real(v, t) * (1.0 + 1e-10)
+    )
+    result = _run_row(monkeypatch, "criterion-6-sphere-closed-form")
+    assert not result.passed, result.detail
+
+
 def test_criterion_7_fails_when_the_action_drops_the_rotation(monkeypatch):
     monkeypatch.setattr(equivariance, "act", lambda o, alpha: alpha)
     result = _run_row(monkeypatch, "criterion-7-equivariance-suite")
+    assert not result.passed, result.detail
+
+
+def test_criterion_8_fails_on_a_sign_flip_in_r(monkeypatch):
+    real = selftest.qr_decompose
+
+    def flipped(alpha):
+        q, r = real(alpha)
+        dense = r.to_dense()
+        dense[0, -1] = -dense[0, -1]
+        return q, UpperTriangularPositive.from_dense(dense)
+
+    monkeypatch.setattr(selftest, "qr_decompose", flipped)
+    result = _run_row(monkeypatch, "criterion-8-hand-case")
     assert not result.passed, result.detail

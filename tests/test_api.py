@@ -1,6 +1,7 @@
 """Checks on the package surface and its source: one tolerance knob, no
 imports left behind when code is removed, private helpers shared between
-modules only where listed, and acceptance criteria that restate no kernel."""
+modules only where listed, one owner of the rank rule, and acceptance
+criteria that restate no kernel."""
 
 import ast
 import inspect
@@ -102,6 +103,18 @@ def test_only_core_knows_the_packed_triangle():
         path.name
         for path in SOURCES
         if "_triangle_layout" in _named(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert naming == ["core.py"]
+
+
+def test_only_core_runs_a_singular_value_decomposition():
+    # Every rank verdict and condition estimate comes from
+    # core.condition_estimates, so the rank rule and its overflow rescale
+    # have one owner; an SVD elsewhere would be a second copy of the rule.
+    naming = [
+        path.name
+        for path in SOURCES
+        if "svd" in _named(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert naming == ["core.py"]
 

@@ -15,6 +15,7 @@ from stiefel_retract import (
     homotopy_step,
     include_frame,
     interpolant,
+    orthonormalize,
     random_rotation,
     retract,
     sphere_interpolant,
@@ -23,7 +24,7 @@ from stiefel_retract import (
     validate_injective,
 )
 from stiefel_retract import homotopy
-from stiefel_retract.core import max_abs
+from stiefel_retract.core import max_abs, orthonormality_defect, tri_solve_inverse
 from stiefel_retract.homotopy import path_to_csv, path_to_json_obj
 from stiefel_retract.matio import MatrixFormatError, matrix_from_object
 from stiefel_retract.sampling import (
@@ -33,6 +34,18 @@ from stiefel_retract.sampling import (
 )
 
 HAND_INPUT = np.array([[2.0, 1.0], [0.0, 3.0]])
+
+
+def _refuse_certificates(monkeypatch, error):
+    """Make the step's certificates raise ``error``, as ``homotopy`` binds
+    them: ``condition_estimates``, which certifies the points, and
+    ``validate_injective``, which revalidates a failing t on its own."""
+
+    def refuse(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(homotopy, "condition_estimates", refuse)
+    monkeypatch.setattr(homotopy, "validate_injective", refuse)
 
 
 def parse_path_csv(text: str) -> list[dict]:
@@ -210,22 +223,16 @@ class TestStraightLineStep:
 
     @pytest.mark.parametrize("error", [RankDeficientError, NonFiniteError])
     def test_certificate_failure_names_t(self, monkeypatch, error):
-        def refuse(raw):
-            raise error("injected")
-
         alpha = validate_injective(HAND_INPUT)
-        monkeypatch.setattr(homotopy, "validate_injective", refuse)
+        _refuse_certificates(monkeypatch, error)
         with pytest.raises(InternalRankLossError, match=r"t=0\.5 failed revalidation: injected"):
             homotopy_step(alpha, 0.5)
 
     def test_t_one_needs_no_certificate(self, monkeypatch):
         # At t = 1 the triangle is I, so the point is the frame with
         # condition 1 exactly and no SVD runs.
-        def refuse(raw):
-            raise RankDeficientError("injected")
-
         alpha = validate_injective(HAND_INPUT)
-        monkeypatch.setattr(homotopy, "validate_injective", refuse)
+        _refuse_certificates(monkeypatch, RankDeficientError)
         point = homotopy_step(alpha, 1.0)
         assert point.condition_estimate == 1.0
         assert np.array_equal(point.matrix, retract(alpha).matrix)
@@ -431,43 +438,150 @@ class TestStraightLinePath:
 
     @pytest.mark.parametrize("error", [RankDeficientError, NonFiniteError])
     def test_certificate_failure_names_t(self, monkeypatch, error):
-        def refuse(raw):
-            raise error("injected")
-
         alpha = validate_injective(HAND_INPUT)
-        monkeypatch.setattr(homotopy, "validate_injective", refuse)
+        _refuse_certificates(monkeypatch, error)
         with pytest.raises(InternalRankLossError, match=r"t=0\.5 failed revalidation: injected"):
             trace_path(alpha, 3)
 
-
     def test_every_sample_goes_through_the_step(self, monkeypatch):
-        times = []
+        calls = []
         step = homotopy._step
 
-        def counted(alpha, end, r, t):
-            times.append(t)
-            return step(alpha, end, r, t)
+        def counted(alpha, end, r, ts):
+            calls.append(list(ts))
+            return step(alpha, end, r, ts)
 
         monkeypatch.setattr(homotopy, "_step", counted)
         alpha = validate_injective(HAND_INPUT)
         for n in (2, 3, 11):
-            times.clear()
+            calls.clear()
             path = trace_path(alpha, n)
+            times = [t for ts in calls for t in ts]
             assert times == [s.t for s in path.samples]
+            assert len(calls) == 1
 
     def test_endpoints_need_no_certificate(self, monkeypatch):
         # t = 0 is the input and t = 1 the product alpha @ M with condition
         # 1, so a two-sample path certifies nothing.
-        def refuse(raw):
-            raise RankDeficientError("injected")
-
         alpha = validate_injective(HAND_INPUT)
         end = alpha.matrix @ coefficient_matrix(alpha).to_dense()
-        monkeypatch.setattr(homotopy, "validate_injective", refuse)
+        _refuse_certificates(monkeypatch, RankDeficientError)
         path = trace_path(alpha, 2)
         assert path.samples[0].point is alpha
         assert np.array_equal(path.samples[1].point.matrix, end)
         assert path.samples[1].point.condition_estimate == 1.0
+
+def _per_t_reference(alpha):
+    """The t = 1 point alpha @ M, R = M^-1 and M's diagonal, as trace_path
+    forms them, for comparing its samples with the per-t formula."""
+    coeff = coefficient_matrix(alpha)
+    end = alpha.matrix @ coeff.to_dense()
+    return end, tri_solve_inverse(coeff).to_dense(), coeff.diagonal()
+
+
+def _refuse_triangles_of(monkeypatch, r, bad_ts):
+    """Step certificates that reject exactly the triangles (1 - t) R + t I
+    of the times in ``bad_ts``, alone or inside a stack."""
+    bad = [(1.0 - t) * r + t * np.eye(r.shape[0]) for t in bad_ts]
+
+    def refusing(real):
+        def certify(a, *args, **kwargs):
+            for triangle in np.reshape(a, (-1, *np.shape(a)[-2:])):
+                if any(np.array_equal(triangle, b) for b in bad):
+                    raise RankDeficientError("injected")
+            return real(a, *args, **kwargs)
+
+        return certify
+
+    for name in ("condition_estimates", "validate_injective"):
+        monkeypatch.setattr(homotopy, name, refusing(getattr(homotopy, name)))
+
+
+def _counted_certificates(monkeypatch):
+    calls = []
+    real = homotopy.condition_estimates
+
+    def counted(a, tol_rank):
+        calls.append(np.shape(a))
+        return real(a, tol_rank)
+
+    monkeypatch.setattr(homotopy, "condition_estimates", counted)
+    return calls
+
+
+class TestStackedStep:
+    def test_samples_match_the_per_t_formula_bit_for_bit(self):
+        rng = np.random.default_rng(47)
+        shapes = [(8, 3), (24, 24), (64, 16), (70, 64)]
+        for condition in (1.0, 1e2, 1e4, 1e5, 9e5):
+            for m, d in shapes:
+                alpha = conditioned_injective(rng, m, d, condition)
+                end, r, diag = _per_t_reference(alpha)
+                path = trace_path(alpha, 33)
+                for s in path.samples[1:-1]:
+                    t = s.t
+                    expected = (1.0 - t) * alpha.matrix + t * end
+                    certificate = validate_injective((1.0 - t) * r + t * np.eye(d))
+                    assert np.array_equal(s.point.matrix, expected)
+                    assert s.point.condition_estimate == certificate.condition_estimate
+                    assert s.min_interpolant_diag == float(np.min((1.0 - t) + t * diag))
+                for s in (path.samples[0], path.samples[-1]):
+                    assert s.ortho_defect == orthonormality_defect(s.point.matrix)
+
+    def test_interior_defect_is_the_triangle_defect(self):
+        # The point is Q @ triangle, so both defects agree in exact
+        # arithmetic; the point carries rounding of about eps * condition.
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(50)
+        for condition in (1.0, 1e3, 9e5):
+            alpha = conditioned_injective(rng, 40, 12, condition)
+            _, r, _ = _per_t_reference(alpha)
+            for s in trace_path(alpha, 9).samples[1:-1]:
+                triangle = (1.0 - s.t) * r + s.t * np.eye(12)
+                assert s.ortho_defect == orthonormality_defect(triangle)
+                gap = abs(s.ortho_defect - orthonormality_defect(s.point.matrix))
+                assert gap <= 100 * eps * alpha.condition_estimate
+
+    def test_frame_source_has_orthonormal_interior(self):
+        rng = np.random.default_rng(51)
+        for _ in range(10):
+            m, d = random_dims(rng, 48)
+            alpha, _ = generate_injective(rng, m, d, max_condition=1e6)
+            path = trace_path(include_frame(retract(alpha)), 11)
+            assert max(s.ortho_defect for s in path.samples[1:-1]) <= 1e-12
+
+    def test_path_names_the_smaller_of_two_failing_times(self, monkeypatch):
+        alpha = conditioned_injective(np.random.default_rng(52), 9, 4, 1e3)
+        _, r, _ = _per_t_reference(alpha)
+        _refuse_triangles_of(monkeypatch, r, (0.75, 0.5))
+        with pytest.raises(InternalRankLossError, match=r"t=0\.5 failed revalidation: injected"):
+            trace_path(alpha, 5)
+
+    def test_check_names_the_smaller_of_two_failing_times(self, monkeypatch):
+        # The times come in descending order; the smaller one is named.
+        alpha = conditioned_injective(np.random.default_rng(53), 9, 4, 1e3)
+        r = orthonormalize(alpha).triangular_factor.to_dense()
+        o = random_rotation(9, seed=7)
+        _refuse_triangles_of(monkeypatch, r, (0.75, 0.5))
+        with pytest.raises(InternalRankLossError, match=r"t=0\.5 failed revalidation: injected"):
+            check_equivariance(alpha, o, (0.75, 0.25, 0.5))
+
+    def test_one_certificate_call_per_path_and_per_check_side(self, monkeypatch):
+        alpha = conditioned_injective(np.random.default_rng(54), 20, 6, 1e4)
+        calls = _counted_certificates(monkeypatch)
+        trace_path(alpha, 33)
+        assert calls == [(31, 6, 6)]
+        calls.clear()
+        trace_path(alpha, 2)
+        assert calls == []
+        check_equivariance(alpha, random_rotation(20, seed=6))
+        assert calls == [(3, 6, 6), (3, 6, 6)]
+        calls.clear()
+        # A lone interior time is certified as one matrix, without a stack.
+        homotopy_step(alpha, 0.3)
+        trace_path(alpha, 3)
+        assert calls == [(6, 6), (6, 6)]
+
 
 class TestContinuity:
     def test_steps_bounded_by_coefficient_gap(self):
