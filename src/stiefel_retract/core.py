@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     DimensionError,
     DomainError,
+    MatrixFormatError,
     NonFiniteError,
     NotOrthonormalError,
     RankDeficientError,
@@ -35,10 +36,17 @@ GUARANTEE_CONDITION = 1e6
 def as_matrix(raw) -> np.ndarray:
     """Coerce ``raw`` to a read-only column-major float matrix.
 
-    Raises ``DimensionError`` for non-2d input or empty axes and
-    ``NonFiniteError`` if any entry is NaN or infinite.
+    Raises ``MatrixFormatError`` for complex, ragged or non-numeric input,
+    ``DimensionError`` for non-2d input or empty axes and ``NonFiniteError``
+    if any entry is NaN or infinite.
     """
-    a = np.array(raw, dtype=float, order="F")
+    try:
+        a = np.array(raw, order="F")
+        if a.dtype.kind == "c":  # a cast to float would only warn
+            raise TypeError("complex entries")
+        a = a.astype(float, copy=False)
+    except (TypeError, ValueError) as exc:
+        raise MatrixFormatError(f"matrix entries must be real numbers: {exc}") from exc
     if a.ndim != 2:
         raise DimensionError(f"expected a 2-d matrix, got {a.ndim} dimensions")
     if a.shape[0] < 1 or a.shape[1] < 1:
@@ -188,12 +196,12 @@ class UpperTriangularPositive:
         return a
 
 
-def condition_estimates(a: np.ndarray, tol_rank: float) -> list[float]:
+def condition_estimates(a: np.ndarray) -> list[float]:
     """Largest-to-smallest singular-value ratio of a finite matrix, or of
     each matrix of a stack ``(n, m, d)``, from one SVD call.
 
     This is the rank rule: a matrix counts as injective when its smallest
-    singular value exceeds ``tol_rank`` times its largest. Otherwise
+    singular value exceeds ``DEFAULT_TOL_RANK`` times its largest. Otherwise
     ``RankDeficientError`` is raised, for the first such matrix of a stack.
     """
     sv = np.linalg.svd(a, compute_uv=False)
@@ -206,32 +214,27 @@ def condition_estimates(a: np.ndarray, tol_rank: float) -> list[float]:
             scaled = np.ldexp(block, -math.frexp(max_abs(block))[1])
             row = np.linalg.svd(scaled, compute_uv=False).tolist()
         largest, smallest = row[0], row[-1]
-        if smallest <= tol_rank * largest:
+        if smallest <= DEFAULT_TOL_RANK * largest:
             raise RankDeficientError(
-                f"columns are not independent at tol_rank={tol_rank:g}: "
+                f"columns are not independent at tol_rank={DEFAULT_TOL_RANK:g}: "
                 f"singular-value ratio {smallest / largest if largest else 0.0:.3e}"
             )
         conditions.append(largest / smallest)
     return conditions
 
 
-def validate_injective(raw, tol_rank: float = DEFAULT_TOL_RANK) -> InjectiveMap:
+def validate_injective(raw) -> InjectiveMap:
     """Validate an m x d matrix as an injective linear map.
 
-    The columns count as linearly independent when the smallest singular
-    value exceeds ``tol_rank`` times the largest.
-
-    Raises ``DimensionError`` if d > m, ``RankDeficientError`` if the
-    singular-value ratio is at or below ``tol_rank``, and ``NonFiniteError``
+    Raises ``DimensionError`` if d > m, ``RankDeficientError`` if the columns
+    fail the rank rule of :func:`condition_estimates`, and ``NonFiniteError``
     for NaN/Inf entries.
     """
-    if not 0.0 < tol_rank < 1.0:
-        raise DomainError(f"tol_rank must lie in (0, 1), got {tol_rank}")
     a = as_matrix(raw)
     m, d = a.shape
     if d > m:
         raise DimensionError(f"need d <= m for an injective map, got {m}x{d}")
-    return InjectiveMap(matrix=a, condition_estimate=condition_estimates(a, tol_rank)[0])
+    return InjectiveMap(matrix=a, condition_estimate=condition_estimates(a)[0])
 
 
 def validate_frame(raw) -> StiefelFrame:

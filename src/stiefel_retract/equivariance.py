@@ -45,8 +45,8 @@ def random_rotation(m: int, seed: int) -> Rotation:
     out -1. The rotation does not depend on this library's Gram-Schmidt
     sweep, which it is used to check.
     """
-    if m < 1:
-        raise DomainError(f"m must be a positive integer, got {m}")
+    if m < 1 or seed < 0:
+        raise DomainError(f"need a positive m and a nonnegative seed, got {m} and {seed}")
     gauss = np.random.default_rng(seed).standard_normal((m, m))
     q, r = np.linalg.qr(gauss)
     q *= np.where(np.diagonal(r) < 0.0, -1.0, 1.0)

@@ -50,8 +50,8 @@ class DomainError(StiefelRetractError):
 
 
 class ZeroVectorError(StiefelRetractError):
-    """Vector norm is at or below the rank tolerance."""
+    """The vector is zero, so it has no direction to normalize."""
 
 
 class MatrixFormatError(StiefelRetractError):
-    """A matrix file or text block could not be parsed."""
+    """A matrix file, text block or array could not be read as reals."""

@@ -27,7 +27,6 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL_ORTHO,
-    DEFAULT_TOL_RANK,
     GUARANTEE_CONDITION,
     InjectiveMap,
     UpperTriangularPositive,
@@ -101,7 +100,7 @@ def _certificates(inner, points: np.ndarray, triangles: np.ndarray) -> list[floa
     try:
         if not (np.isfinite(points).all() and np.isfinite(triangles).all()):
             raise NonFiniteError("a homotopy point or triangle is not finite")
-        return condition_estimates(triangles, DEFAULT_TOL_RANK)
+        return condition_estimates(triangles)
     except (RankDeficientError, NonFiniteError):
         # Revalidating t by t finds the first failure, and the point's
         # error wins over its triangle's.
@@ -189,10 +188,9 @@ def sphere_interpolant(v, t: float) -> np.ndarray:
     """Closed form of the homotopy for a single column: scale ``v`` by
     (1 - t) + t / |v|.
 
-    At t = 1 this is the normalization map onto the unit sphere. Raises
-    ``ZeroVectorError`` when the norm is at or below ``DEFAULT_TOL_RANK``.
-    The norm is taken after one exact power-of-two scaling, so every finite
-    ``v`` is accepted without overflow.
+    At t = 1 this is the normalization map onto the unit sphere. Every
+    nonzero finite ``v`` is accepted, at any scale and without overflow;
+    ``ZeroVectorError`` is raised for the zero vector.
     """
     t = _check_unit_interval(t)
     vec = np.asarray(v, dtype=float).reshape(-1)
@@ -200,17 +198,14 @@ def sphere_interpolant(v, t: float) -> np.ndarray:
         raise DomainError("vector must be nonempty")
     if not np.all(np.isfinite(vec)):
         raise NonFiniteError("vector contains NaN or infinite entries")
-    # |v| = s * 2^e with s in [0.5, sqrt(size)). The factor
-    # (1 - t) + t / |v| is formed with t / |v| = 2^-e * (t / s), so nothing
-    # cancels near t = 1 at any scale, and (1 - t) + t == 1 keeps unit
-    # vectors fixed.
-    _, e = math.frexp(max_abs(vec))
-    s = float(np.linalg.norm(np.ldexp(vec, -e)))
-    with np.errstate(over="ignore"):
-        nrm = float(np.ldexp(s, e))
-    if nrm <= DEFAULT_TOL_RANK:
-        raise ZeroVectorError(f"vector norm {nrm:.3e} is at or below tol_rank")
-    return ((1.0 - t) + math.ldexp(t / s, -e)) * vec
+    if not vec.any():
+        raise ZeroVectorError("vector is zero")
+    # With the exact w = v * 2^-k, max|w| in [1, 2), the point is
+    # w * ((1 - t) * 2^k + t / |w|): nothing cancels near t = 1 or overflows
+    # at any scale, and (1 - t) + t == 1 keeps unit vectors fixed.
+    k = math.frexp(max_abs(vec))[1] - 1
+    w = np.ldexp(vec, -k)
+    return (math.ldexp(1.0 - t, k) + t / float(np.linalg.norm(w))) * w
 
 
 def trace_path(alpha: InjectiveMap, n: int) -> HomotopyPath:

@@ -15,6 +15,7 @@ import time
 import pytest
 
 from stiefel_retract import (
+    RankDeficientError,
     StiefelFrame,
     UpperTriangularPositive,
     equivariance,
@@ -121,11 +122,24 @@ def test_criterion_2_fails_on_a_perturbed_coefficient_matrix(monkeypatch):
 
 
 def test_criterion_3_fails_on_a_wrong_certificate(monkeypatch):
-    # Step certificates with rank threshold 0.5 reject points that are
-    # injective; the row reads trace_path's certificates, so it must fail.
+    # Step certificates with rank threshold 0.5, that is condition 2, reject
+    # points that are injective; the row reads trace_path's certificates, so
+    # it must fail.
     certify, validate = homotopy.condition_estimates, homotopy.validate_injective
-    monkeypatch.setattr(homotopy, "condition_estimates", lambda a, tol_rank: certify(a, 0.5))
-    monkeypatch.setattr(homotopy, "validate_injective", lambda raw: validate(raw, tol_rank=0.5))
+
+    def strict_certify(a):
+        conditions = certify(a)
+        if max(conditions) >= 2.0:
+            raise RankDeficientError("singular-value ratio at or below 0.5")
+        return conditions
+
+    def strict_validate(raw):
+        alpha = validate(raw)
+        strict_certify(alpha.matrix)
+        return alpha
+
+    monkeypatch.setattr(homotopy, "condition_estimates", strict_certify)
+    monkeypatch.setattr(homotopy, "validate_injective", strict_validate)
     result = _run_row(monkeypatch, "criterion-3-rank-along-path")
     assert not result.passed, result.detail
 

@@ -1,7 +1,7 @@
-"""Checks on the package surface and its source: one tolerance knob, no
+"""Checks on the package surface and its source: no tolerance knob, no
 imports left behind when code is removed, private helpers shared between
-modules only where listed, one owner of the rank rule, and acceptance
-criteria that restate no kernel."""
+modules only where listed, one owner of the rank rule and its threshold,
+and acceptance criteria that restate no kernel."""
 
 import ast
 import inspect
@@ -25,15 +25,12 @@ def _public_callables():
 
 
 def test_only_validate_injective_takes_a_tolerance():
-    # Tolerances are the core constants; validate_injective keeps tol_rank so
-    # callers can build loosely validated inputs.
+    # Tolerances are the core constants; no operation takes one.
     knobs = {
         name: [p for p in inspect.signature(fn).parameters if p.startswith("tol_")]
         for name, fn in _public_callables()
     }
-    assert {name: params for name, params in knobs.items() if params} == {
-        "validate_injective": ["tol_rank"]
-    }
+    assert {name: params for name, params in knobs.items() if params} == {}
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -117,6 +114,19 @@ def test_only_core_runs_a_singular_value_decomposition():
         if "svd" in _named(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert naming == ["core.py"]
+
+
+def test_only_listed_modules_name_the_rank_tolerance():
+    # core.condition_estimates is the one rank verdict. The sweep's collapse
+    # floor is a different rule on residual ratios, selftest prints the
+    # threshold in its rows, and __init__ re-exports it; a copy anywhere
+    # else, say as an absolute norm floor, would be a second rank rule.
+    naming = [
+        path.name
+        for path in SOURCES
+        if "DEFAULT_TOL_RANK" in _named(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert naming == ["__init__.py", "core.py", "gram_schmidt.py", "selftest.py"]
 
 
 def test_selftest_runs_no_linear_algebra_kernel_of_its_own():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from stiefel_retract import (
     DimensionError,
     DomainError,
+    MatrixFormatError,
     NonFiniteError,
     NotOrthonormalError,
     RankDeficientError,
@@ -59,7 +60,7 @@ class TestValidateInjective:
 
         raw = np.array([[1.0, 1.0], [0.0, eps], [0.0, 0.0]])
         with pytest.raises(RankDeficientError):
-            validate_injective(raw, tol_rank=1e-10)
+            validate_injective(raw)
 
     def test_wide_matrix_rejected(self):
         with pytest.raises(DimensionError):
@@ -72,10 +73,16 @@ class TestValidateInjective:
         with pytest.raises(NonFiniteError):
             validate_injective(raw)
 
-    @pytest.mark.parametrize("tol", [0.0, 1.0, -0.5])
-    def test_tol_rank_domain(self, tol):
-        with pytest.raises(DomainError):
-            validate_injective(np.eye(2), tol_rank=tol)
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "raw",
+        [np.array([[1.0 + 1.0j], [2.0]]), [[1.0, 2.0], [3.0]], [["a"], ["b"]]],
+        ids=["complex", "ragged", "text"],
+    )
+    def test_unreadable_input_raises_a_library_error(self, raw):
+        # Complex entries would lose their imaginary part to numpy's cast.
+        with pytest.raises(MatrixFormatError):
+            validate_injective(raw)
 
     def test_gram_matrix_positive_definite(self):
         rng = np.random.default_rng(3)

@@ -44,6 +44,10 @@ class TestRandomRotation:
         with pytest.raises(DomainError):
             random_rotation(0, seed=1)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError):
+            random_rotation(3, seed=-1)
+
     @pytest.mark.parametrize("m", range(1, 17))
     def test_is_sign_fixed_lapack_q(self, m):
         for seed in (0, 1, 7, 2**62 + 3):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from stiefel_retract import (
     DimensionError,
+    InjectiveMap,
     InternalRankLossError,
     NumericalRankLossError,
     RankDeficientError,
@@ -129,9 +130,10 @@ class TestOrthonormalize:
 
     @pytest.mark.filterwarnings("error")
     def test_rank_collapse_raises(self):
-        # Passes a loose validation but collapses at the sweep's tolerance.
-        raw = np.array([[1.0, 1.0], [0.0, 1e-12]])
-        alpha = validate_injective(raw, tol_rank=1e-14)
+        # Built without validation, which would reject it, so that the sweep
+        # meets a collapse at its own tolerance.
+        raw = np.array([[1.0, 1.0], [0.0, 1e-12]], order="F")
+        alpha = InjectiveMap(matrix=raw, condition_estimate=float(np.linalg.cond(raw)))
         with pytest.raises(NumericalRankLossError):
             orthonormalize(alpha)
         # Accepted by validation, but the coefficients overflow the float range.
