@@ -33,20 +33,27 @@ DEFAULT_TOL_DET = 1e-10
 GUARANTEE_CONDITION = 1e6
 
 
+def as_real_array(raw, order: str = "K") -> np.ndarray:
+    """A new float array of ``raw``'s booleans, integers or floats, the one
+    reading of array input. Raises ``MatrixFormatError`` for complex (which a
+    cast would cut to its real part), ragged, text or object input."""
+    try:
+        a = np.array(raw, order=order)
+    except (TypeError, ValueError) as exc:
+        raise MatrixFormatError(f"entries must be real numbers: {exc}") from exc
+    if a.dtype.kind not in "biuf":
+        raise MatrixFormatError(f"entries must be real numbers, got dtype {a.dtype}")
+    return a.astype(float, copy=False)
+
+
 def as_matrix(raw) -> np.ndarray:
     """Coerce ``raw`` to a read-only column-major float matrix.
 
-    Raises ``MatrixFormatError`` for complex, ragged or non-numeric input,
+    Raises ``MatrixFormatError`` for input :func:`as_real_array` rejects,
     ``DimensionError`` for non-2d input or empty axes and ``NonFiniteError``
     if any entry is NaN or infinite.
     """
-    try:
-        a = np.array(raw, order="F")
-        if a.dtype.kind == "c":  # a cast to float would only warn
-            raise TypeError("complex entries")
-        a = a.astype(float, copy=False)
-    except (TypeError, ValueError) as exc:
-        raise MatrixFormatError(f"matrix entries must be real numbers: {exc}") from exc
+    a = as_real_array(raw, order="F")
     if a.ndim != 2:
         raise DimensionError(f"expected a 2-d matrix, got {a.ndim} dimensions")
     if a.shape[0] < 1 or a.shape[1] < 1:
@@ -157,7 +164,7 @@ class UpperTriangularPositive:
         if self.dim < 1:
             raise DimensionError("dim must be a positive integer")
         expected = self.dim * (self.dim + 1) // 2
-        packed = np.array(self.packed, dtype=float)
+        packed = as_real_array(self.packed)
         if packed.shape != (expected,):
             raise DimensionError(
                 f"packed triangle for dim {self.dim} needs {expected} entries, "
@@ -177,7 +184,7 @@ class UpperTriangularPositive:
         Rejects matrices with any nonzero entry, NaN included, in the strict
         lower triangle.
         """
-        a = np.asarray(dense, dtype=float)
+        a = as_real_array(dense)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionError(f"expected a square matrix, got shape {a.shape}")
         upper, lower, _ = _triangle_layout(a.shape[0])

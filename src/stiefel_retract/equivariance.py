@@ -22,7 +22,7 @@ from .core import (
 )
 from .errors import DimensionError, DomainError
 from .gram_schmidt import orthonormalize
-from .homotopy import _check_unit_interval, _step
+from .homotopy import _step
 
 DEFAULT_T_SAMPLES = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -66,16 +66,13 @@ def act(o: Rotation, alpha: InjectiveMap) -> InjectiveMap:
 
 
 def check_equivariance(
-    alpha: InjectiveMap,
-    o: Rotation,
-    t_samples=DEFAULT_T_SAMPLES,
-    tolerance: float = 1e-9,
+    alpha: InjectiveMap, o: Rotation, tolerance: float = 1e-9
 ) -> EquivarianceReport:
     """Measure how far rotation and retraction are from commuting.
 
     frame defect: retract(o @ alpha) vs o @ retract(alpha);
     coefficient defect: the coefficient matrices of both (invariant);
-    homotopy defects: the same comparison at each requested time.
+    homotopy defects: the same comparison at each time of ``DEFAULT_T_SAMPLES``.
     The defects are absolute. ``passed`` judges each against the size of
     what it compares: the frame defect against ``tolerance``, the
     coefficient defect against ``tolerance * max(1, max|M|)`` with M the
@@ -83,11 +80,9 @@ def check_equivariance(
     ``tolerance * max(1, (1 - t) max|alpha| + t)``, which bounds the entries
     of the point (1 - t) alpha + t Q.
     """
-    ts = [_check_unit_interval(t) for t in t_samples]
-    if not ts:
-        raise DomainError("t_samples must be nonempty")
     if not tolerance > 0.0:
         raise DomainError(f"tolerance must be positive, got {tolerance}")
+    ts = DEFAULT_T_SAMPLES
     # Factoring alpha first rejects an R past the float range before o @ alpha overflows.
     base = orthonormalize(alpha)
     rotated = act(o, alpha)

@@ -31,6 +31,7 @@ from .core import (
     InjectiveMap,
     UpperTriangularPositive,
     as_matrix,
+    as_real_array,
     condition_estimates,
     include_frame,
     max_abs,
@@ -120,13 +121,13 @@ def _certificates(inner, points: np.ndarray, triangles: np.ndarray) -> list[floa
 
 def _step(alpha: InjectiveMap, end: InjectiveMap, r: np.ndarray, ts):
     """The homotopy points (1 - t) * alpha + t * end for the times ``ts``,
-    where ``end`` is alpha's frame Q or alpha @ M and ``r`` the dense R of
-    alpha = Q @ R.
+    ascending without repeats in [0, 1], where ``end`` is alpha's frame Q or
+    alpha @ M and ``r`` the dense R of alpha = Q @ R.
 
     Returns the points in the order of ``ts``, and the stack of the d x d
-    triangles (1 - t) * R + t * I of the times strictly inside (0, 1),
-    ascending. Both endpoints are returned as they are. A point in between
-    equals Q @ ((1 - t) * R + t * I), so its triangle certifies it (rank and
+    triangles (1 - t) * R + t * I of the times strictly inside (0, 1). Both
+    endpoints are returned as they are. A point in between equals
+    Q @ ((1 - t) * R + t * I), so its triangle certifies it (rank and
     condition estimate). Two or more such points are read-only views into
     one stack, certified together by one batched SVD of their triangles. A
     failure raises ``InternalRankLossError`` naming the smallest failing t.
@@ -141,29 +142,26 @@ def _step(alpha: InjectiveMap, end: InjectiveMap, r: np.ndarray, ts):
         point += t * end.matrix
         triangle = (1.0 - t) * r
         triangle += t * np.eye(d)
-        [condition] = _certificates(inner, point, triangle)
-        point.setflags(write=False)
-        point = InjectiveMap(matrix=point, condition_estimate=condition)
-        return [alpha if s == 0.0 else end if s == 1.0 else point for s in ts], triangle[None]
-    inner = sorted(set(inner))
-    n = len(inner)
-    points = {0.0: alpha, 1.0: end}
-    # Each point is an F-contiguous (m, d) view into one stack. Filling the
-    # points t by t keeps the temporaries point-sized.
-    stack = np.empty((n, d, m)).transpose(0, 2, 1)
-    triangles = np.empty((n, d, d))
-    eye = np.eye(d)
-    for point, triangle, t in zip(stack, triangles, inner):
-        np.multiply(1.0 - t, alpha.matrix, out=point)
-        point += t * end.matrix
-        np.multiply(1.0 - t, r, out=triangle)
-        triangle += t * eye
+        conditions = _certificates(inner, point, triangle)
+        stack, triangles = point[None], triangle[None]
+    else:
+        # Each point is an F-contiguous (m, d) view into one stack. Filling
+        # the points t by t keeps the temporaries point-sized.
+        stack = np.empty((len(inner), d, m)).transpose(0, 2, 1)
+        triangles = np.empty((len(inner), d, d))
+        eye = np.eye(d)
+        for point, triangle, t in zip(stack, triangles, inner):
+            np.multiply(1.0 - t, alpha.matrix, out=point)
+            point += t * end.matrix
+            np.multiply(1.0 - t, r, out=triangle)
+            triangle += t * eye
+        conditions = _certificates(inner, stack, triangles) if inner else []
     stack.setflags(write=False)
-    if inner:
-        conditions = _certificates(inner, stack, triangles)
-        for t, point, condition in zip(inner, stack, conditions):
-            points[t] = InjectiveMap(matrix=point, condition_estimate=condition)
-    return [points[t] for t in ts], triangles
+    points = [
+        InjectiveMap(matrix=point, condition_estimate=condition)
+        for point, condition in zip(stack, conditions)
+    ]
+    return [alpha] * (ts[0] == 0.0) + points + [end] * (ts[-1] == 1.0), triangles
 
 
 def homotopy_step(alpha: InjectiveMap, t: float) -> InjectiveMap:
@@ -193,7 +191,7 @@ def sphere_interpolant(v, t: float) -> np.ndarray:
     ``ZeroVectorError`` is raised for the zero vector.
     """
     t = _check_unit_interval(t)
-    vec = np.asarray(v, dtype=float).reshape(-1)
+    vec = as_real_array(v).reshape(-1)
     if vec.size == 0:
         raise DomainError("vector must be nonempty")
     if not np.all(np.isfinite(vec)):

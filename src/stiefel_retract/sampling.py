@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import InjectiveMap, validate_injective
-from .errors import RankDeficientError, StiefelRetractError
+from .errors import DomainError, RankDeficientError, StiefelRetractError
 
 #: Draws tried by :func:`generate_injective` before it gives up.
 MAX_TRIES = 1000
@@ -60,8 +60,8 @@ def conditioned_injective(
     this package's own sweep, so tests that target a conditioning regime do
     not depend on the code under test.
     """
-    if condition < 1.0:
-        raise ValueError(f"condition must be >= 1, got {condition}")
+    if not condition >= 1.0:
+        raise DomainError(f"condition must be >= 1, got {condition}")
     u, _ = np.linalg.qr(rng.standard_normal((m, d)))
     v, _ = np.linalg.qr(rng.standard_normal((d, d)))
     sigma = np.logspace(0.0, -np.log10(condition), num=d)

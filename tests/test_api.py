@@ -1,7 +1,8 @@
 """Checks on the package surface and its source: no tolerance knob, no
 imports left behind when code is removed, private helpers shared between
 modules only where listed, one owner of the rank rule and its threshold,
-and acceptance criteria that restate no kernel."""
+one reader of array input, and acceptance criteria that restate no
+kernel."""
 
 import ast
 import inspect
@@ -74,7 +75,6 @@ def test_private_names_cross_modules_only_where_listed():
                 )
     assert crossing <= {
         ("homotopy", "gram_schmidt", "_factor"),
-        ("equivariance", "homotopy", "_check_unit_interval"),
         ("equivariance", "homotopy", "_step"),
     }
 
@@ -114,6 +114,23 @@ def test_only_core_runs_a_singular_value_decomposition():
         if "svd" in _named(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert naming == ["core.py"]
+
+
+def test_only_core_and_matio_cast_to_float():
+    # core.as_real_array is the one reading of array input, and matio's
+    # parsers read text; a float cast anywhere else would be a second rule,
+    # with numpy's quiet readings of complex, text and object input.
+    def casts(node):
+        if isinstance(node, ast.keyword) and node.arg == "dtype":
+            return ast.unparse(node.value).split(".")[-1] in {"float", "float64", "double"}
+        return isinstance(node, ast.Attribute) and node.attr == "astype"
+
+    naming = [
+        path.name
+        for path in SOURCES
+        if any(map(casts, ast.walk(ast.parse(path.read_text(), filename=str(path)))))
+    ]
+    assert naming == ["core.py", "matio.py"]
 
 
 def test_only_listed_modules_name_the_rank_tolerance():

@@ -7,7 +7,6 @@ import stiefel_retract
 from stiefel_retract import cli, errors, gram_schmidt, qr_decompose, retract, trace_path
 from stiefel_retract.core import max_abs
 from stiefel_retract.equivariance import (
-    DEFAULT_T_SAMPLES,
     check_equivariance,
     random_rotation,
     report_to_json_obj,
@@ -307,7 +306,7 @@ class TestCheck:
             rng = np.random.default_rng(3 + i)
             alpha, _ = generate_injective(rng, 6, 2)
             o = random_rotation(6, int(rng.integers(0, 2**63)))
-            report = check_equivariance(alpha, o, DEFAULT_T_SAMPLES, 1e-9)
+            report = check_equivariance(alpha, o, 1e-9)
             assert json.loads(line) == report_to_json_obj(report)
 
 

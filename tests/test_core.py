@@ -15,6 +15,7 @@ from stiefel_retract import (
     UpperTriangularPositive,
     include_frame,
     retract,
+    sphere_interpolant,
     tri_solve_inverse,
     validate_frame,
     validate_injective,
@@ -76,11 +77,19 @@ class TestValidateInjective:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "raw",
-        [np.array([[1.0 + 1.0j], [2.0]]), [[1.0, 2.0], [3.0]], [["a"], ["b"]]],
-        ids=["complex", "ragged", "text"],
+        [
+            np.array([[1.0 + 1.0j], [2.0]]),
+            [[1.0, 2.0], [3.0]],
+            [["a"], ["b"]],
+            [["1.5"], ["2"]],
+            np.array([[b"1.5"], [b"2"]]),
+            [[None], [1.0]],
+        ],
+        ids=["complex", "ragged", "text", "numeric-text", "bytes", "object"],
     )
     def test_unreadable_input_raises_a_library_error(self, raw):
-        # Complex entries would lose their imaginary part to numpy's cast.
+        # Complex entries would lose their imaginary part to numpy's cast;
+        # text, numeric or not, is the parsers' to read.
         with pytest.raises(MatrixFormatError):
             validate_injective(raw)
 
@@ -242,3 +251,37 @@ def test_matrices_are_read_only():
 
 def test_orthonormality_defect_zero_for_identity():
     assert orthonormality_defect(np.eye(4)) == 0.0
+
+
+#: Per kind of unreadable input: the entries of a packed 1 x 1 triangle, of
+#: a dense one and of a vector.
+UNREADABLE = {
+    "complex": (
+        np.array([1.0 + 1.0j]),
+        np.array([[1.0 + 1.0j]]),
+        np.array([1.0 + 1.0j, 2.0]),
+    ),
+    "ragged": ([[1.0, 2.0], [3.0]],) * 3,
+    "text": (["2"], [["1"]], ["3", "4"]),
+}
+READERS = (
+    lambda raw: UpperTriangularPositive(dim=1, packed=raw),
+    UpperTriangularPositive.from_dense,
+    lambda raw: sphere_interpolant(raw, 0.5),
+)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", sorted(UNREADABLE))
+@pytest.mark.parametrize("reader", range(3), ids=["packed", "from_dense", "sphere_interpolant"])
+def test_every_array_reader_rejects_unreadable_input(reader, kind):
+    # Triangles and vectors are read by the same rule as matrices.
+    with pytest.raises(MatrixFormatError):
+        READERS[reader](UNREADABLE[kind][reader])
+
+
+@pytest.mark.parametrize("condition", [0.5, float("nan")])
+def test_conditioned_injective_rejects_a_condition_below_one(condition):
+    # A library error, and NaN stops here rather than in validation.
+    with pytest.raises(DomainError):
+        conditioned_injective(np.random.default_rng(0), 4, 2, condition)

@@ -236,8 +236,6 @@ class TestStraightLineStep:
         point = homotopy_step(alpha, 1.0)
         assert point.condition_estimate == 1.0
         assert np.array_equal(point.matrix, retract(alpha).matrix)
-        report = check_equivariance(alpha, random_rotation(2, seed=4), (1.0,))
-        assert report.passed
         with pytest.raises(InternalRankLossError, match=r"t=0\.5 failed revalidation"):
             homotopy_step(alpha, 0.5)
 
@@ -562,13 +560,13 @@ class TestStackedStep:
             trace_path(alpha, 5)
 
     def test_check_names_the_smaller_of_two_failing_times(self, monkeypatch):
-        # The times come in descending order; the smaller one is named.
+        # Two of the check's times fail; the smaller one is named.
         alpha = conditioned_injective(np.random.default_rng(53), 9, 4, 1e3)
         r = orthonormalize(alpha).triangular_factor.to_dense()
         o = random_rotation(9, seed=7)
         _refuse_triangles_of(monkeypatch, r, (0.75, 0.5))
         with pytest.raises(InternalRankLossError, match=r"t=0\.5 failed revalidation: injected"):
-            check_equivariance(alpha, o, (0.75, 0.25, 0.5))
+            check_equivariance(alpha, o)
 
     def test_one_certificate_call_per_path_and_per_check_side(self, monkeypatch):
         alpha = conditioned_injective(np.random.default_rng(54), 20, 6, 1e4)
