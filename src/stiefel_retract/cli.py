@@ -180,8 +180,8 @@ def cmd_path(cfg: argparse.Namespace) -> int:
 
 def cmd_qr(cfg: argparse.Namespace) -> int:
     alpha = _obtain_input(cfg, square=True)
-    q, packed = qr_decompose(alpha)
-    r = packed.to_dense()
+    q, triangle = qr_decompose(alpha)
+    r = triangle.matrix
     defect = max_abs(q.matrix @ r - alpha.matrix)
     if cfg.format == "json":
         payload = json.dumps(

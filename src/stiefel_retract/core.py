@@ -10,6 +10,7 @@ share across threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,7 +27,6 @@ from .errors import (
 
 DEFAULT_TOL_RANK = 1e-10
 DEFAULT_TOL_ORTHO = 1e-10
-DEFAULT_TOL_DET = 1e-10
 
 #: Condition-estimate bound up to which the orthonormality and reconstruction
 #: tolerances are guaranteed; beyond it results carry diagnostics instead.
@@ -44,6 +44,14 @@ def as_real_array(raw, order: str = "K") -> np.ndarray:
     if a.dtype.kind not in "biuf":
         raise MatrixFormatError(f"entries must be real numbers, got dtype {a.dtype}")
     return a.astype(float, copy=False)
+
+
+def as_integer(value, name: str) -> int:
+    """``value`` as an int, for counts and seeds; ``DomainError`` for any non-integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 def as_matrix(raw) -> np.ndarray:
@@ -132,75 +140,48 @@ class Rotation:
 
 
 @lru_cache(maxsize=None)
-def _triangle_layout(dim: int):
-    """Masks for the packed upper triangle of a dim x dim matrix.
-
-    Returns ``(upper, lower, diag_positions)``: boolean masks of the upper
-    triangle (diagonal included) and of the strict lower triangle, and the
-    positions of the diagonal entries within the packed triangle. Boolean
-    indexing runs in row-major order, which is the packed order.
-    """
-    upper = np.triu(np.ones((dim, dim), dtype=bool))
-    lower = ~upper
-    diag = np.flatnonzero(np.eye(dim, dtype=bool)[upper])
-    for arr in (upper, lower, diag):
-        arr.setflags(write=False)
-    return upper, lower, diag
+def _strict_lower(dim: int) -> np.ndarray:
+    """Read-only mask of the strict lower triangle of a dim x dim matrix."""
+    mask = np.tri(dim, k=-1, dtype=bool)
+    mask.setflags(write=False)
+    return mask
 
 
 @dataclass(frozen=True)
 class UpperTriangularPositive:
     """A d x d upper-triangular matrix with strictly positive diagonal.
 
-    Only the upper triangle is stored, row-major within the triangle; the
-    strict lower triangle is zero by construction and never materialized
-    except through :meth:`to_dense`.
+    ``matrix`` is the read-only, row-major dense triangle, checked on
+    construction: ``DomainError`` for a nonzero entry (NaN included) below
+    the diagonal or a diagonal entry that is not positive.
     """
 
-    dim: int
-    packed: np.ndarray
+    matrix: np.ndarray
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise DimensionError("dim must be a positive integer")
-        expected = self.dim * (self.dim + 1) // 2
-        packed = as_real_array(self.packed)
-        if packed.shape != (expected,):
-            raise DimensionError(
-                f"packed triangle for dim {self.dim} needs {expected} entries, "
-                f"got shape {packed.shape}"
-            )
-        if not np.isfinite(packed).all():
+        a = as_real_array(self.matrix, order="C")
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+            raise DimensionError(f"expected a nonempty square matrix, got shape {a.shape}")
+        if a[_strict_lower(a.shape[0])].any():
+            raise DomainError("strict lower triangle is not zero")
+        if not np.isfinite(a).all():
             raise NonFiniteError("triangle contains NaN or infinite entries")
-        packed.setflags(write=False)
-        object.__setattr__(self, "packed", packed)
-        if not (self.diagonal() > 0.0).all():
+        if not (a.diagonal() > 0.0).all():
             raise DomainError("diagonal entries must be strictly positive")
+        a.setflags(write=False)
+        object.__setattr__(self, "matrix", a)
 
     @classmethod
     def from_dense(cls, dense) -> "UpperTriangularPositive":
-        """Pack a dense upper-triangular matrix.
-
-        Rejects matrices with any nonzero entry, NaN included, in the strict
-        lower triangle.
-        """
-        a = as_real_array(dense)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-        upper, lower, _ = _triangle_layout(a.shape[0])
-        if a[lower].any():
-            raise DomainError("strict lower triangle is not zero")
-        return cls(dim=a.shape[0], packed=a[upper])
+        """The triangle of a dense matrix, checked as the constructor does."""
+        return cls(matrix=dense)
 
     def diagonal(self) -> np.ndarray:
-        _, _, diag = _triangle_layout(self.dim)
-        return self.packed[diag]
+        return self.matrix.diagonal()
 
     def to_dense(self) -> np.ndarray:
-        upper, _, _ = _triangle_layout(self.dim)
-        a = np.zeros((self.dim, self.dim))
-        a[upper] = self.packed
-        return a
+        """A writable copy of ``matrix``."""
+        return self.matrix.copy()
 
 
 def condition_estimates(a: np.ndarray) -> list[float]:
@@ -265,16 +246,14 @@ def validate_frame(raw) -> StiefelFrame:
 
 
 def validate_rotation(raw) -> Rotation:
-    """Validate a square matrix as special-orthogonal (orthogonal, det +1)
-    within ``DEFAULT_TOL_ORTHO`` and ``DEFAULT_TOL_DET``."""
+    """Validate a square matrix as special-orthogonal: orthonormal within
+    ``DEFAULT_TOL_ORTHO``, after which the determinant's sign alone decides."""
     a = validate_frame(raw).matrix
     if a.shape[0] != a.shape[1]:
         raise DimensionError(f"rotation must be square, got shape {a.shape}")
     det = float(np.linalg.det(a))
-    if abs(det - 1.0) > DEFAULT_TOL_DET:
-        raise DomainError(
-            f"determinant must be +1 within {DEFAULT_TOL_DET:g}, got {det!r}"
-        )
+    if not det > 0.0:
+        raise DomainError(f"determinant must be positive, got {det!r}")
     return Rotation(matrix=a)
 
 
@@ -291,15 +270,15 @@ def tri_solve_inverse(u) -> UpperTriangularPositive:
     """Invert an upper-triangular positive-diagonal matrix by back
     substitution.
 
-    ``u`` is an :class:`UpperTriangularPositive`, or the dense square array
-    that one was packed from, which saves unpacking it again; only the upper
-    triangle of a dense array is read. The result's diagonal entries are the
-    reciprocals of the input's, hence positive, and the product with the
-    input is the identity within roundoff.
+    ``u`` is an :class:`UpperTriangularPositive`, whose ``matrix`` is read
+    in place, or a dense square array, unchecked, of which only the upper
+    triangle is read. The result's diagonal entries are the reciprocals of
+    the input's, hence positive, and the product with the input is the
+    identity within roundoff.
     """
-    a = u if isinstance(u, np.ndarray) else u.to_dense()
+    a = u if isinstance(u, np.ndarray) else u.matrix
     x = np.eye(a.shape[0])
-    # An entry past the float range becomes inf or nan here, and packing the
+    # An entry past the float range becomes inf or nan here, and checking the
     # result raises ``NonFiniteError`` for it: the strict lower triangle only
     # meets finite entries of ``a``, so it stays zero. Each row is updated in
     # place, over its full width: restricting the product to the nonzero

@@ -15,6 +15,7 @@ import numpy as np
 from .core import (
     InjectiveMap,
     Rotation,
+    as_integer,
     include_frame,
     max_abs,
     validate_injective,
@@ -45,6 +46,7 @@ def random_rotation(m: int, seed: int) -> Rotation:
     out -1. The rotation does not depend on this library's Gram-Schmidt
     sweep, which it is used to check.
     """
+    m, seed = as_integer(m, "m"), as_integer(seed, "seed")
     if m < 1 or seed < 0:
         raise DomainError(f"need a positive m and a nonnegative seed, got {m} and {seed}")
     gauss = np.random.default_rng(seed).standard_normal((m, m))
@@ -89,14 +91,14 @@ def check_equivariance(
     moved = orthonormalize(rotated)
     frame_defect = max_abs(moved.frame.matrix - o.matrix @ base.frame.matrix)
     coefficient_defect = max_abs(
-        moved.coefficient_matrix.packed - base.coefficient_matrix.packed
+        moved.coefficient_matrix.matrix - base.coefficient_matrix.matrix
     )
-    left, _ = _step(rotated, include_frame(moved.frame), moved.triangular_factor.to_dense(), ts)
-    right, _ = _step(alpha, include_frame(base.frame), base.triangular_factor.to_dense(), ts)
+    left, _ = _step(rotated, include_frame(moved.frame), moved.triangular_factor.matrix, ts)
+    right, _ = _step(alpha, include_frame(base.frame), base.triangular_factor.matrix, ts)
     homotopy_defects = [
         (t, max_abs(p.matrix - o.matrix @ q.matrix)) for t, p, q in zip(ts, left, right)
     ]
-    coeff_scale = max(1.0, max_abs(base.coefficient_matrix.packed))
+    coeff_scale = max(1.0, max_abs(base.coefficient_matrix.matrix))
     input_scale = max_abs(alpha.matrix)
     passed = (
         frame_defect <= tolerance

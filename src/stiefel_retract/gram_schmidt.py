@@ -105,7 +105,7 @@ def _factor(alpha: InjectiveMap):
     """Run the sweep and check the frame once.
 
     Returns ``(frame, r)`` with ``alpha = frame @ r`` within roundoff and r
-    the dense triangle, packed only by the callers that return it.
+    the dense triangle, checked only by the callers that return it.
     """
     q, r = _sweep(alpha.matrix)
     defect = orthonormality_defect(q)
@@ -119,7 +119,7 @@ def _factor(alpha: InjectiveMap):
     return StiefelFrame(matrix=q), r
 
 
-def _packed_factor(dense_r: np.ndarray) -> UpperTriangularPositive:
+def _checked_factor(dense_r: np.ndarray) -> UpperTriangularPositive:
     try:
         return UpperTriangularPositive.from_dense(dense_r)
     except NonFiniteError as exc:
@@ -143,10 +143,9 @@ def orthonormalize(alpha: InjectiveMap) -> GramSchmidtResult:
     coefficient matrix lies outside the float range.
     """
     frame, dense_r = _factor(alpha)
-    r = _packed_factor(dense_r)
-    # The back substitution reads the dense R that was just packed.
+    r = _checked_factor(dense_r)
     try:
-        coeff = tri_solve_inverse(dense_r)
+        coeff = tri_solve_inverse(r)
     except NonFiniteError as exc:
         raise NumericalRankLossError(
             f"coefficient matrix lies outside the float range: smallest "
@@ -182,7 +181,7 @@ def qr_decompose(alpha: InjectiveMap) -> tuple[StiefelFrame, UpperTriangularPosi
     if m != d:
         raise DimensionError("qr requires a square matrix")
     frame, r = _factor(alpha)
-    return frame, _packed_factor(r)
+    return frame, _checked_factor(r)
 
 
 def householder_qr_oracle(a) -> tuple[StiefelFrame, UpperTriangularPositive]:

@@ -30,6 +30,7 @@ from .core import (
     GUARANTEE_CONDITION,
     InjectiveMap,
     UpperTriangularPositive,
+    as_integer,
     as_matrix,
     as_real_array,
     condition_estimates,
@@ -68,15 +69,15 @@ class HomotopyPath:
 
 
 def _check_unit_interval(t: float) -> float:
-    t = float(t)
-    if not (0.0 <= t <= 1.0):
+    a = as_real_array(t)
+    if a.ndim != 0 or not (0.0 <= a <= 1.0):
         raise DomainError(f"t must lie in [0, 1], got {t!r}")
-    return t
+    return float(a)
 
 
 def _interpolate(coeff: UpperTriangularPositive, t: float) -> UpperTriangularPositive:
     return UpperTriangularPositive.from_dense(
-        (1.0 - t) * np.eye(coeff.dim) + t * coeff.to_dense()
+        (1.0 - t) * np.eye(len(coeff.matrix)) + t * coeff.matrix
     )
 
 
@@ -220,14 +221,14 @@ def trace_path(alpha: InjectiveMap, n: int) -> HomotopyPath:
     meet the 1e-10 orthogonality tolerance; beyond it, it is a diagnostic
     only.
     """
+    n = as_integer(n, "n")
     if n < 2:
         raise DomainError(f"need at least 2 samples, got {n}")
     coeff = coefficient_matrix(alpha)
     diag = coeff.diagonal()
-    dense = coeff.to_dense()
-    end = InjectiveMap(matrix=as_matrix(alpha.matrix @ dense), condition_estimate=1.0)
+    end = InjectiveMap(matrix=as_matrix(alpha.matrix @ coeff.matrix), condition_estimate=1.0)
     try:
-        r = tri_solve_inverse(dense).to_dense()
+        r = tri_solve_inverse(coeff).matrix
     except NonFiniteError as exc:
         raise InternalRankLossError(
             f"triangular factor R = M^-1 failed revalidation: {exc}"

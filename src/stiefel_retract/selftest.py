@@ -112,7 +112,7 @@ def check_isometry_fixed_point(ctx: _Context):
         frame = retract(alpha)
         fmap = include_frame(frame)
         coeff = coefficient_matrix(fmap)
-        worst_coeff = max(worst_coeff, max_abs(coeff.to_dense() - np.eye(d)))
+        worst_coeff = max(worst_coeff, max_abs(coeff.matrix - np.eye(d)))
         path = trace_path(fmap, 11)
         worst_path = max(
             worst_path,
@@ -136,10 +136,10 @@ def check_qr_vs_householder(ctx: _Context):
         q, r = qr_decompose(alpha)
         if not np.all(r.diagonal() > 0.0):
             return False, "R diagonal not strictly positive"
-        worst_recon = max(worst_recon, max_abs(q.matrix @ r.to_dense() - alpha.matrix))
+        worst_recon = max(worst_recon, max_abs(q.matrix @ r.matrix - alpha.matrix))
         qh, rh = householder_qr_oracle(alpha.matrix)
         worst_q = max(worst_q, max_abs(q.matrix - qh.matrix))
-        worst_r = max(worst_r, max_abs(r.packed - rh.packed))
+        worst_r = max(worst_r, max_abs(r.matrix - rh.matrix))
     ok = worst_recon <= 1e-9 and worst_q <= 1e-9 and worst_r <= 1e-9
     return ok, (
         f"max |QR - input| {worst_recon:.3e}, oracle gaps Q {worst_q:.3e} / "
@@ -199,12 +199,12 @@ def check_hand_case(ctx: _Context):
     coeff_expected = np.array([[0.5, -1.0 / 6.0], [0.0, 1.0 / 3.0]])
     gaps = [
         max_abs(res.frame.matrix - np.eye(2)),
-        max_abs(res.coefficient_matrix.to_dense() - coeff_expected),
-        max_abs(alpha.matrix @ res.coefficient_matrix.to_dense() - np.eye(2)),
+        max_abs(res.coefficient_matrix.matrix - coeff_expected),
+        max_abs(alpha.matrix @ res.coefficient_matrix.matrix - np.eye(2)),
     ]
     q, r = qr_decompose(alpha)
     gaps.append(max_abs(q.matrix - np.eye(2)))
-    gaps.append(max_abs(r.to_dense() - alpha.matrix))
+    gaps.append(max_abs(r.matrix - alpha.matrix))
     worst = max(gaps)
     return worst <= 1e-14, f"max hand-case gap {worst:.3e} (tol 1e-14)"
 

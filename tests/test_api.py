@@ -1,8 +1,8 @@
 """Checks on the package surface and its source: no tolerance knob, no
 imports left behind when code is removed, private helpers shared between
 modules only where listed, one owner of the rank rule and its threshold,
-one reader of array input, and acceptance criteria that restate no
-kernel."""
+one reader of array input, triangles read in place, and acceptance criteria
+that restate no kernel."""
 
 import ast
 import inspect
@@ -93,15 +93,18 @@ def _named(tree: ast.Module) -> set[str]:
     return names
 
 
-def test_only_core_knows_the_packed_triangle():
-    # Other modules reach the packed layout through from_dense, to_dense and
-    # diagonal, so a change of layout stays inside core.
-    naming = [
+def test_library_reads_triangles_without_copying():
+    # A triangle's matrix is read-only, so library code reads it in place;
+    # to_dense() is the writable copy kept for callers outside the package.
+    calling = [
         path.name
         for path in SOURCES
-        if "_triangle_layout" in _named(ast.parse(path.read_text(), filename=str(path)))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "to_dense"
     ]
-    assert naming == ["core.py"]
+    assert calling == []
 
 
 def test_only_core_runs_a_singular_value_decomposition():

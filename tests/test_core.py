@@ -14,6 +14,7 @@ from stiefel_retract import (
     RankDeficientError,
     UpperTriangularPositive,
     include_frame,
+    random_rotation,
     retract,
     sphere_interpolant,
     tri_solve_inverse,
@@ -170,6 +171,23 @@ class TestValidateRotation:
         with pytest.raises(NotOrthonormalError):
             validate_rotation(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize(
+        "rotation, scale",
+        [
+            (random_rotation(32, 7).matrix, 1 + 0.45e-10),
+            (np.eye(8), 1 + 0.4e-10),
+            (np.eye(64), 1 + 0.4e-10),
+        ],
+        ids=["haar-32", "identity-8", "identity-64"],
+    )
+    def test_orthonormal_within_tolerance_accepted(self, rotation, scale):
+        # Once the columns pass the frame rule, the determinant is +-1
+        # within roundoff and its sign alone decides; here it is about
+        # 1 + d * (scale - 1), further from 1 than the Gram defect.
+        raw = rotation * scale
+        assert orthonormality_defect(raw) <= 1e-10
+        assert np.array_equal(validate_rotation(raw).matrix, raw)
+
     def test_non_square_rejected(self):
         for raw in (np.eye(3)[:, :2], np.eye(3)[:2, :]):
             with pytest.raises(DimensionError):
@@ -182,7 +200,6 @@ class TestUpperTriangularPositive:
         u = UpperTriangularPositive.from_dense(dense)
         assert np.array_equal(u.to_dense(), dense)
         assert np.array_equal(u.diagonal(), [1.0, 4.0, 6.0])
-        assert np.array_equal(u.packed, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
 
     def test_nonpositive_diagonal_rejected(self):
         with pytest.raises(DomainError):
@@ -199,9 +216,35 @@ class TestUpperTriangularPositive:
         with pytest.raises(DomainError):
             UpperTriangularPositive.from_dense(np.array([[1.0, 2.0], [bad, 3.0]]))
 
-    def test_packed_length_checked(self):
-        with pytest.raises(DimensionError):
-            UpperTriangularPositive(dim=2, packed=np.array([1.0, 2.0]))
+    def test_non_square_one_d_and_empty_rejected(self):
+        for raw in (np.ones((2, 3)), np.ones(3), np.ones((0, 0))):
+            with pytest.raises(DimensionError):
+                UpperTriangularPositive(matrix=raw)
+
+
+@pytest.mark.parametrize(
+    "build, raw",
+    [
+        (validate_injective, [[2.0, 1.0], [0.0, 3.0]]),
+        (validate_frame, [[0.0], [1.0]]),
+        (validate_rotation, [[0.0, -1.0], [1.0, 0.0]]),
+        (UpperTriangularPositive, [[2.0, 1.0], [0.0, 3.0]]),
+    ],
+    ids=["InjectiveMap", "StiefelFrame", "Rotation", "UpperTriangularPositive"],
+)
+def test_every_type_wraps_a_read_only_matrix(build, raw):
+    wrapped = build(raw)
+    assert np.array_equal(wrapped.matrix, raw)
+    with pytest.raises(ValueError):
+        wrapped.matrix[0, 0] = 5.0
+
+
+def test_to_dense_is_a_writable_copy_of_the_matrix():
+    u = UpperTriangularPositive(matrix=[[2.0, 1.0], [0.0, 3.0]])
+    dense = u.to_dense()
+    assert np.array_equal(dense, u.matrix) and dense is not u.matrix
+    dense[0, 0] = 5.0
+    assert u.matrix[0, 0] == 2.0
 
 
 class TestTriSolveInverse:
@@ -240,7 +283,7 @@ class TestTriSolveInverse:
             np.triu(diag[:, None] * (np.eye(dim) + noise))
         )
         again = tri_solve_inverse(tri_solve_inverse(u))
-        assert max_abs(again.packed - u.packed) <= 1e-12
+        assert max_abs(again.matrix - u.matrix) <= 1e-12
 
 
 def test_matrices_are_read_only():
@@ -253,19 +296,19 @@ def test_orthonormality_defect_zero_for_identity():
     assert orthonormality_defect(np.eye(4)) == 0.0
 
 
-#: Per kind of unreadable input: the entries of a packed 1 x 1 triangle, of
-#: a dense one and of a vector.
+#: Per kind of unreadable input: the entries of a 1 x 1 triangle, given to
+#: the constructor and to from_dense, and of a vector.
 UNREADABLE = {
     "complex": (
-        np.array([1.0 + 1.0j]),
+        np.array([[1.0 + 1.0j]]),
         np.array([[1.0 + 1.0j]]),
         np.array([1.0 + 1.0j, 2.0]),
     ),
     "ragged": ([[1.0, 2.0], [3.0]],) * 3,
-    "text": (["2"], [["1"]], ["3", "4"]),
+    "text": ([["2"]], [["1"]], ["3", "4"]),
 }
 READERS = (
-    lambda raw: UpperTriangularPositive(dim=1, packed=raw),
+    lambda raw: UpperTriangularPositive(matrix=raw),
     UpperTriangularPositive.from_dense,
     lambda raw: sphere_interpolant(raw, 0.5),
 )
@@ -273,7 +316,7 @@ READERS = (
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("kind", sorted(UNREADABLE))
-@pytest.mark.parametrize("reader", range(3), ids=["packed", "from_dense", "sphere_interpolant"])
+@pytest.mark.parametrize("reader", range(3), ids=["matrix", "from_dense", "sphere_interpolant"])
 def test_every_array_reader_rejects_unreadable_input(reader, kind):
     # Triangles and vectors are read by the same rule as matrices.
     with pytest.raises(MatrixFormatError):

@@ -168,9 +168,9 @@ class TestCheckEquivariance:
             rotated = act(o, alpha)
             ca = coefficient_matrix(alpha)
             cr = coefficient_matrix(rotated)
-            assert max_abs(ca.packed - cr.packed) <= 1e-9
+            assert max_abs(ca.matrix - cr.matrix) <= 1e-9
             for t in DEFAULT_T_SAMPLES:
-                drift = interpolant(rotated, t).packed - interpolant(alpha, t).packed
+                drift = interpolant(rotated, t).matrix - interpolant(alpha, t).matrix
                 assert max_abs(drift) <= 1e-9
 
     def test_t_one_defect_is_frame_defect(self):

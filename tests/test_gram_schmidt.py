@@ -295,7 +295,7 @@ class TestCoefficientMatrix:
             dense = coeff.to_dense()
             assert max_abs(alpha.matrix @ dense - res.frame.matrix) <= 1e-10
             assert np.all(coeff.diagonal() > 0.0)
-            assert np.all(dense[np.tril_indices(coeff.dim, k=-1)] == 0.0)
+            assert np.all(dense[np.tril_indices(coeff.matrix.shape[0], k=-1)] == 0.0)
 
 
 class TestHomotopyStepOnFactor:
@@ -385,7 +385,7 @@ class TestQrDecompose:
         assert orthonormality_defect(q.matrix) <= 1e-10
         qh, rh = householder_qr_oracle(alpha.matrix)
         assert max_abs(q.matrix - qh.matrix) <= 1e-9
-        assert max_abs(r.packed - rh.packed) <= 1e-9
+        assert max_abs(r.matrix - rh.matrix) <= 1e-9
 
     def test_rectangular_rejected(self):
         with pytest.raises(DimensionError, match="square"):
@@ -397,7 +397,7 @@ class TestQrDecompose:
             alpha = conditioned_injective(rng, m, m, 1e4)
             _, r = qr_decompose(alpha)
             res = orthonormalize(alpha)
-            assert np.array_equal(res.triangular_factor.packed, r.packed)
+            assert np.array_equal(res.triangular_factor.matrix, r.matrix)
 
     def test_agrees_with_oracle_across_sizes(self):
         rng = np.random.default_rng(18)
@@ -407,7 +407,7 @@ class TestQrDecompose:
             q, r = qr_decompose(alpha)
             qh, rh = householder_qr_oracle(alpha.matrix)
             assert max_abs(q.matrix - qh.matrix) <= 1e-9
-            assert max_abs(r.packed - rh.packed) <= 1e-9
+            assert max_abs(r.matrix - rh.matrix) <= 1e-9
 
 
 class TestHouseholderOracle:

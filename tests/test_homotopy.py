@@ -117,7 +117,7 @@ class TestInterpolant:
     def test_t_one_is_coefficient_matrix(self):
         alpha = validate_injective(HAND_INPUT)
         assert np.array_equal(
-            interpolant(alpha, 1.0).packed, coefficient_matrix(alpha).packed
+            interpolant(alpha, 1.0).matrix, coefficient_matrix(alpha).matrix
         )
 
     def test_hand_midpoint(self):
@@ -137,11 +137,11 @@ class TestInterpolant:
             m, d = random_dims(rng, 32)
             alpha, _ = generate_injective(rng, m, d, max_condition=1e6)
             coeff = coefficient_matrix(alpha)
-            eye_packed = interpolant(alpha, 0.0).packed
+            eye = interpolant(alpha, 0.0).matrix
             for t in (0.25, float(rng.uniform(0, 1)), 0.75):
-                lhs = (1.0 - t) * eye_packed + t * coeff.packed
-                rhs = interpolant(alpha, t).packed
-                assert max_abs(lhs - rhs) <= 4e-16 * max(1.0, max_abs(coeff.packed))
+                lhs = (1.0 - t) * eye + t * coeff.matrix
+                rhs = interpolant(alpha, t).matrix
+                assert max_abs(lhs - rhs) <= 4e-16 * max(1.0, max_abs(coeff.matrix))
 
     def test_diagonal_stays_positive(self):
         rng = np.random.default_rng(23)
@@ -626,3 +626,23 @@ class TestPathSerialization:
         path = trace_path(validate_injective(HAND_INPUT), 2)
         header = path_to_csv(path).splitlines()[0]
         assert header == "t,entry_0_0,entry_0_1,entry_1_0,entry_1_1,min_diag,ortho_defect"
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda alpha: homotopy_step(alpha, "0.5"), MatrixFormatError),
+        (lambda alpha: sphere_interpolant([3.0, 4.0], "0.5"), MatrixFormatError),
+        (lambda alpha: interpolant(alpha, b"0.5"), MatrixFormatError),
+        (lambda alpha: homotopy_step(alpha, [0.5]), DomainError),
+        (lambda alpha: trace_path(alpha, 3.0), DomainError),
+        (lambda alpha: random_rotation(2.5, 0), DomainError),
+        (lambda alpha: random_rotation(2, 1.5), DomainError),
+    ],
+    ids=["text-t", "text-t-vector", "bytes-t", "list-t", "float-n", "float-m", "float-seed"],
+)
+def test_scalar_arguments_are_numbers_of_the_right_kind(call, error):
+    # Text is the parsers' job, and a float count or seed is a library
+    # error rather than the builtin TypeError.
+    with pytest.raises(error):
+        call(validate_injective(HAND_INPUT))
