@@ -54,6 +54,16 @@ def as_integer(value, name: str) -> int:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
+def as_real_scalar(value, name: str) -> float:
+    """``value`` as a float, read as :func:`as_real_array` reads arrays, so
+    text raises ``MatrixFormatError``; ``DomainError`` for anything but a
+    single number."""
+    a = as_real_array(value)
+    if a.ndim != 0:
+        raise DomainError(f"{name} must be a single number, got {value!r}")
+    return float(a)
+
+
 def as_matrix(raw) -> np.ndarray:
     """Coerce ``raw`` to a read-only column-major float matrix.
 
@@ -79,26 +89,22 @@ def max_abs(a: np.ndarray) -> float:
 
 
 def orthonormality_defect(a: np.ndarray):
-    """Max-abs deviation of ``a.T @ a`` from the identity.
+    """Max-abs deviation of ``a.T @ a`` from the identity: a float for one
+    matrix, and for a stack ``(n, m, d)`` the array of the n defects.
 
-    For a stack ``(n, m, d)`` the result is the array of the n defects, from
-    one batched product. Entries past about 1e154 overflow the Gram product,
-    and the defect is then ``inf``, without a warning.
+    Both come from one batched product. Entries past about 1e154 overflow
+    the Gram product, and the defect is then ``inf``, without a warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         gram = a.swapaxes(-1, -2) @ a
     d = a.shape[-1]
+    gram = gram.reshape(-1, d * d)
+    gram[:, :: d + 1] -= 1.0
+    defect = np.abs(gram).max(axis=1, initial=0.0)
     # Overflowing products of both signs sum to NaN, which no ``<=`` gate
-    # would catch; it means the same as an overflow. A single matrix takes
-    # the leaner scalar path: most callers check one frame per call.
-    if a.ndim == 2:
-        gram.flat[:: d + 1] -= 1.0
-        defect = max_abs(gram)
-        return math.inf if math.isnan(defect) else defect
-    gram.reshape(-1, d * d)[:, :: d + 1] -= 1.0
-    defect = np.abs(gram).max(axis=(-2, -1), initial=0.0)
+    # would catch; it means the same as an overflow.
     defect[np.isnan(defect)] = math.inf
-    return defect
+    return float(defect[0]) if a.ndim == 2 else defect
 
 
 @dataclass(frozen=True)
@@ -266,17 +272,15 @@ def include_frame(frame: StiefelFrame) -> InjectiveMap:
     return InjectiveMap(matrix=frame.matrix, condition_estimate=1.0)
 
 
-def tri_solve_inverse(u) -> UpperTriangularPositive:
+def tri_solve_inverse(u: UpperTriangularPositive) -> UpperTriangularPositive:
     """Invert an upper-triangular positive-diagonal matrix by back
     substitution.
 
-    ``u`` is an :class:`UpperTriangularPositive`, whose ``matrix`` is read
-    in place, or a dense square array, unchecked, of which only the upper
-    triangle is read. The result's diagonal entries are the reciprocals of
-    the input's, hence positive, and the product with the input is the
-    identity within roundoff.
+    ``u.matrix`` is read in place. The result's diagonal entries are the
+    reciprocals of the input's, hence positive, and the product with the
+    input is the identity within roundoff.
     """
-    a = u if isinstance(u, np.ndarray) else u.matrix
+    a = u.matrix
     x = np.eye(a.shape[0])
     # An entry past the float range becomes inf or nan here, and checking the
     # result raises ``NonFiniteError`` for it: the strict lower triangle only

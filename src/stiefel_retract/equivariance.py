@@ -16,6 +16,7 @@ from .core import (
     InjectiveMap,
     Rotation,
     as_integer,
+    as_real_scalar,
     include_frame,
     max_abs,
     validate_injective,
@@ -82,6 +83,7 @@ def check_equivariance(
     ``tolerance * max(1, (1 - t) max|alpha| + t)``, which bounds the entries
     of the point (1 - t) alpha + t Q.
     """
+    tolerance = as_real_scalar(tolerance, "tolerance")
     if not tolerance > 0.0:
         raise DomainError(f"tolerance must be positive, got {tolerance}")
     ts = DEFAULT_T_SAMPLES

@@ -11,8 +11,8 @@ R = M^-1 it equals Q @ ((1 - t) * R + t * I): a thin QR factorization whose
 d x d triangle has diagonal (1 - t) * r_ii + t > 0. The point's singular
 values are that triangle's, so points are certified with d x d SVDs rather
 than m x d ones. One step rule, ``_step``, forms every point from an
-endpoint, R and a sequence of times; two or more points in between are one
-stack, certified by one batched SVD of their triangles. ``homotopy_step`` and
+endpoint, R and a sequence of times; the points in between are one stack,
+certified by one batched SVD of their triangles. ``homotopy_step`` and
 ``check_equivariance`` pass the sweep's frame, so t = 1 is the frame bit for
 bit. ``trace_path`` passes alpha @ M, which is accurate only to about
 eps * condition.
@@ -33,6 +33,7 @@ from .core import (
     as_integer,
     as_matrix,
     as_real_array,
+    as_real_scalar,
     condition_estimates,
     include_frame,
     max_abs,
@@ -69,10 +70,10 @@ class HomotopyPath:
 
 
 def _check_unit_interval(t: float) -> float:
-    a = as_real_array(t)
-    if a.ndim != 0 or not (0.0 <= a <= 1.0):
+    value = as_real_scalar(t, "t")
+    if not 0.0 <= value <= 1.0:
         raise DomainError(f"t must lie in [0, 1], got {t!r}")
-    return float(a)
+    return value
 
 
 def _interpolate(coeff: UpperTriangularPositive, t: float) -> UpperTriangularPositive:
@@ -92,8 +93,8 @@ def interpolant(alpha: InjectiveMap, t: float) -> UpperTriangularPositive:
 
 
 def _certificates(inner, points: np.ndarray, triangles: np.ndarray) -> list[float]:
-    """Condition estimates of the points at the times ``inner``, one matrix
-    or a stack, from one call of the rank rule on their triangles.
+    """Condition estimates of the stacked points at the times ``inner``, from
+    one call of the rank rule on the stack of their triangles.
 
     A failure raises ``InternalRankLossError`` naming the smallest failing t
     (``inner`` is ascending), with the error that its point and triangle give
@@ -106,10 +107,7 @@ def _certificates(inner, points: np.ndarray, triangles: np.ndarray) -> list[floa
     except (RankDeficientError, NonFiniteError):
         # Revalidating t by t finds the first failure, and the point's
         # error wins over its triangle's.
-        m, d = points.shape[-2:]
-        for t, point, triangle in zip(
-            inner, np.reshape(points, (-1, m, d)), np.reshape(triangles, (-1, d, d))
-        ):
+        for t, point, triangle in zip(inner, points, triangles):
             try:
                 as_matrix(point)
                 validate_injective(triangle)
@@ -127,36 +125,26 @@ def _step(alpha: InjectiveMap, end: InjectiveMap, r: np.ndarray, ts):
 
     Returns the points in the order of ``ts``, and the stack of the d x d
     triangles (1 - t) * R + t * I of the times strictly inside (0, 1). Both
-    endpoints are returned as they are. A point in between equals
+    endpoints are returned as they are. The points in between are read-only
+    views into one stack, however many there are. Each equals
     Q @ ((1 - t) * R + t * I), so its triangle certifies it (rank and
-    condition estimate). Two or more such points are read-only views into
-    one stack, certified together by one batched SVD of their triangles. A
-    failure raises ``InternalRankLossError`` naming the smallest failing t.
+    condition estimate), and one batched SVD of the triangles certifies them
+    all. A failure raises ``InternalRankLossError`` naming the smallest
+    failing t.
     """
     inner = [t for t in ts if 0.0 < t < 1.0]
     m, d = alpha.shape
-    if len(inner) == 1:
-        # A lone time, as homotopy_step asks for, is formed as one matrix:
-        # per call, building a stack of one costs more than batching saves.
-        [t] = inner
-        point = np.multiply(1.0 - t, alpha.matrix, order="F")
+    # Each point is an F-contiguous (m, d) view into one stack. Filling
+    # the points t by t keeps the temporaries point-sized.
+    stack = np.empty((len(inner), d, m)).transpose(0, 2, 1)
+    triangles = np.empty((len(inner), d, d))
+    eye = np.eye(d)
+    for point, triangle, t in zip(stack, triangles, inner):
+        np.multiply(1.0 - t, alpha.matrix, out=point)
         point += t * end.matrix
-        triangle = (1.0 - t) * r
-        triangle += t * np.eye(d)
-        conditions = _certificates(inner, point, triangle)
-        stack, triangles = point[None], triangle[None]
-    else:
-        # Each point is an F-contiguous (m, d) view into one stack. Filling
-        # the points t by t keeps the temporaries point-sized.
-        stack = np.empty((len(inner), d, m)).transpose(0, 2, 1)
-        triangles = np.empty((len(inner), d, d))
-        eye = np.eye(d)
-        for point, triangle, t in zip(stack, triangles, inner):
-            np.multiply(1.0 - t, alpha.matrix, out=point)
-            point += t * end.matrix
-            np.multiply(1.0 - t, r, out=triangle)
-            triangle += t * eye
-        conditions = _certificates(inner, stack, triangles) if inner else []
+        np.multiply(1.0 - t, r, out=triangle)
+        triangle += t * eye
+    conditions = _certificates(inner, stack, triangles) if inner else []
     stack.setflags(write=False)
     points = [
         InjectiveMap(matrix=point, condition_estimate=condition)

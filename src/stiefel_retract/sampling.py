@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import InjectiveMap, validate_injective
+from .core import InjectiveMap, as_integer, as_real_scalar, validate_injective
 from .errors import DomainError, RankDeficientError, StiefelRetractError
 
 #: Draws tried by :func:`generate_injective` before it gives up.
@@ -27,6 +27,7 @@ def generate_injective(
     Returns ``(map, resamples)``. ``max_condition`` optionally rejects draws
     with a larger condition estimate.
     """
+    m, d = as_integer(m, "m"), as_integer(d, "d")
     resamples = 0
     for _ in range(MAX_TRIES):
         raw = rng.uniform(-1.0, 1.0, size=(m, d))
@@ -45,6 +46,7 @@ def generate_injective(
 
 
 def random_dims(rng: np.random.Generator, max_m: int) -> tuple[int, int]:
+    max_m = as_integer(max_m, "max_m")
     m = int(rng.integers(1, max_m + 1))
     d = int(rng.integers(1, m + 1))
     return m, d
@@ -60,6 +62,8 @@ def conditioned_injective(
     this package's own sweep, so tests that target a conditioning regime do
     not depend on the code under test.
     """
+    m, d = as_integer(m, "m"), as_integer(d, "d")
+    condition = as_real_scalar(condition, "condition")
     if not condition >= 1.0:
         raise DomainError(f"condition must be >= 1, got {condition}")
     u, _ = np.linalg.qr(rng.standard_normal((m, d)))

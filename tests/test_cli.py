@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -397,6 +401,21 @@ class TestConfigValidation:
         assert "--seed must be non-negative" in capsys.readouterr().err
 
 
+#: Runs each command line of the JSON list in argv[1] through ``cli.main``
+#: in one process and prints the exit codes and stdout digests.
+CLI_DIGESTS = """
+import contextlib, hashlib, io, json, sys
+from stiefel_retract import cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    results.append([code, hashlib.sha256(out.getvalue().encode()).hexdigest()])
+print(json.dumps(results))
+"""
+
+
 class TestDeterminism:
     def test_identical_configs_identical_bytes(self, tmp_path):
         for argv in (
@@ -409,6 +428,30 @@ class TestDeterminism:
                 assert run([*argv, "--output", str(out)]) == 0
                 payloads.append(out.read_bytes())
             assert payloads[0] == payloads[1]
+
+    def test_stdout_does_not_depend_on_the_blas_thread_count(self):
+        # OpenBLAS reads its thread count when it loads, so each count gets
+        # its own process. The shapes are large enough for threaded BLAS
+        # calls in the sweep, the SVDs and the path's products.
+        commands = [
+            ["qr", "--dims", "256x256", "--seed", "2"],
+            ["qr", "--dims", "64x64", "--seed", "9"],
+            ["retract", "--dims", "2000x100", "--seed", "3"],
+            ["path", "--dims", "500x120", "--seed", "4", "--steps", "7"],
+            ["check", "--dims", "128x64", "--batch", "3", "--seed", "5"],
+        ]
+        package_root = str(Path(stiefel_retract.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        results = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+            proc = subprocess.run(
+                [sys.executable, "-c", CLI_DIGESTS, json.dumps(commands)],
+                env=env, capture_output=True, text=True, check=True, timeout=300,
+            )
+            results.append(dict(zip(map(" ".join, commands), json.loads(proc.stdout))))
+        assert all(code == 0 for code, _ in results[0].values())
+        assert results[0] == results[1]
 
 
 class TestValidationCount:

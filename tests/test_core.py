@@ -328,3 +328,39 @@ def test_conditioned_injective_rejects_a_condition_below_one(condition):
     # A library error, and NaN stops here rather than in validation.
     with pytest.raises(DomainError):
         conditioned_injective(np.random.default_rng(0), 4, 2, condition)
+
+
+@pytest.mark.parametrize(
+    "draw, error",
+    [
+        (lambda rng: generate_injective(rng, 4, 2.0), DomainError),
+        (lambda rng: generate_injective(rng, 4.0, 2), DomainError),
+        (lambda rng: conditioned_injective(rng, 4.0, 2, 10.0), DomainError),
+        (lambda rng: conditioned_injective(rng, 4, 2, "10"), MatrixFormatError),
+        (lambda rng: random_dims(rng, 4.5), DomainError),
+    ],
+    ids=["generate_d", "generate_m", "conditioned_m", "conditioned_text", "random_dims"],
+)
+def test_sampling_reads_counts_as_integers(draw, error):
+    # Library errors, not numpy's TypeError or a shape drawn from 4.5.
+    with pytest.raises(error):
+        draw(np.random.default_rng(0))
+
+
+@pytest.mark.filterwarnings("error")
+def test_orthonormality_defect_of_a_matrix_is_that_of_its_stack_of_one():
+    rng = np.random.default_rng(57)
+    matrices = [
+        np.eye(4),
+        rng.standard_normal((10, 5)),
+        retract(validate_injective(rng.standard_normal((16, 12)))).matrix,
+        # The Gram product overflows to inf, and in the second sums
+        # overflows of both signs to NaN; both defects read inf.
+        1e160 * np.eye(3)[:, :2],
+        np.array([[1e200, -1e200], [1e200, 1e200]]),
+    ]
+    for a in matrices:
+        single = orthonormality_defect(a)
+        assert type(single) is float
+        assert single == orthonormality_defect(a[None])[0]
+    assert math.isinf(single)

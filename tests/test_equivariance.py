@@ -4,6 +4,7 @@ import pytest
 from stiefel_retract import (
     DimensionError,
     DomainError,
+    MatrixFormatError,
     act,
     check_equivariance,
     coefficient_matrix,
@@ -209,6 +210,17 @@ class TestCheckEquivariance:
     def test_nonpositive_tolerance_rejected(self, tolerance):
         alpha, _ = generate_injective(np.random.default_rng(4), 4, 2)
         with pytest.raises(DomainError):
+            check_equivariance(alpha, random_rotation(4, 1), tolerance)
+
+    @pytest.mark.parametrize(
+        "tolerance, error",
+        [("1e-9", MatrixFormatError), (np.array([1e-9, 1e-9]), DomainError)],
+        ids=["text", "array"],
+    )
+    def test_tolerance_read_by_the_scalar_rule_of_t(self, tolerance, error):
+        # Text is unreadable and an array is not a single number, as for t.
+        alpha, _ = generate_injective(np.random.default_rng(4), 4, 2)
+        with pytest.raises(error):
             check_equivariance(alpha, random_rotation(4, 1), tolerance)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -515,7 +515,6 @@ class TestInPlaceLoopsBitForBit:
             assert _same_bits(res.coefficient_matrix.to_dense(), m_ref)
             packed = core.UpperTriangularPositive.from_dense(r_ref)
             assert _same_bits(core.tri_solve_inverse(packed).to_dense(), m_ref)
-            assert _same_bits(core.tri_solve_inverse(r_ref).to_dense(), m_ref)
 
     def test_sweep_never_writes_its_argument(self):
         # Column maxima in [0.5, 1) give exponent 0, so the scaling leaves

@@ -530,6 +530,22 @@ class TestStackedStep:
                 for s in (path.samples[0], path.samples[-1]):
                     assert s.ortho_defect == orthonormality_defect(s.point.matrix)
 
+    def test_lone_time_matches_the_same_time_in_a_stack(self):
+        # homotopy_step asks for one time; its stack of one must give the
+        # point, triangle and certificate that a longer stack gives.
+        rng = np.random.default_rng(55)
+        for m, d in ((3, 2), (10, 5), (16, 12), (256, 64)):
+            for condition in (1.0, 1e4, 9e5):
+                alpha = conditioned_injective(rng, m, d, condition)
+                frame, r = homotopy._factor(alpha)
+                end = include_frame(frame)
+                for t in (0.1, 0.5, 0.9):
+                    [lone], lone_triangles = homotopy._step(alpha, end, r, (t,))
+                    points, triangles = homotopy._step(alpha, end, r, (t / 2, t, (1 + t) / 2))
+                    assert lone.matrix.tobytes() == points[1].matrix.tobytes()
+                    assert lone.condition_estimate == points[1].condition_estimate
+                    assert lone_triangles.tobytes() == triangles[1:2].tobytes()
+
     def test_interior_defect_is_the_triangle_defect(self):
         # The point is Q @ triangle, so both defects agree in exact
         # arithmetic; the point carries rounding of about eps * condition.
@@ -579,10 +595,10 @@ class TestStackedStep:
         check_equivariance(alpha, random_rotation(20, seed=6))
         assert calls == [(3, 6, 6), (3, 6, 6)]
         calls.clear()
-        # A lone interior time is certified as one matrix, without a stack.
+        # A lone interior time is certified as a stack of one.
         homotopy_step(alpha, 0.3)
         trace_path(alpha, 3)
-        assert calls == [(6, 6), (6, 6)]
+        assert calls == [(1, 6, 6), (1, 6, 6)]
 
 
 class TestContinuity:
