@@ -191,21 +191,20 @@ class UpperTriangularPositive:
 
 
 def condition_estimates(a: np.ndarray) -> list[float]:
-    """Largest-to-smallest singular-value ratio of a finite matrix, or of
-    each matrix of a stack ``(n, m, d)``, from one SVD call.
+    """Largest-to-smallest singular-value ratio of each finite matrix of a
+    stack ``(n, m, d)``, from one SVD call.
 
     This is the rank rule: a matrix counts as injective when its smallest
     singular value exceeds ``DEFAULT_TOL_RANK`` times its largest. Otherwise
-    ``RankDeficientError`` is raised, for the first such matrix of a stack.
+    ``RankDeficientError`` is raised, for the first such matrix of the stack.
     """
     sv = np.linalg.svd(a, compute_uv=False)
     conditions = []
-    for k, row in enumerate(sv.tolist() if sv.ndim > 1 else [sv.tolist()]):
+    for k, row in enumerate(sv.tolist()):
         if not (math.isfinite(row[0]) and math.isfinite(row[-1])):
             # The SVD overflowed on huge finite entries. One exact power of
             # two brings max|a| into [0.5, 1) and leaves the ratio unchanged.
-            block = a.reshape(-1, *a.shape[-2:])[k]
-            scaled = np.ldexp(block, -math.frexp(max_abs(block))[1])
+            scaled = np.ldexp(a[k], -math.frexp(max_abs(a[k]))[1])
             row = np.linalg.svd(scaled, compute_uv=False).tolist()
         largest, smallest = row[0], row[-1]
         if smallest <= DEFAULT_TOL_RANK * largest:
@@ -228,7 +227,7 @@ def validate_injective(raw) -> InjectiveMap:
     m, d = a.shape
     if d > m:
         raise DimensionError(f"need d <= m for an injective map, got {m}x{d}")
-    return InjectiveMap(matrix=a, condition_estimate=condition_estimates(a)[0])
+    return InjectiveMap(matrix=a, condition_estimate=condition_estimates(a[None])[0])
 
 
 def validate_frame(raw) -> StiefelFrame:

@@ -12,10 +12,9 @@ d x d triangle has diagonal (1 - t) * r_ii + t > 0. The point's singular
 values are that triangle's, so points are certified with d x d SVDs rather
 than m x d ones. One step rule, ``_step``, forms every point from an
 endpoint, R and a sequence of times; the points in between are one stack,
-certified by one batched SVD of their triangles. ``homotopy_step`` and
-``check_equivariance`` pass the sweep's frame, so t = 1 is the frame bit for
-bit. ``trace_path`` passes alpha @ M, which is accurate only to about
-eps * condition.
+certified by one batched SVD of their triangles. ``homotopy_step``,
+``trace_path`` and ``check_equivariance`` all pass the sweep's frame and R,
+so every t = 1 point is the frame bit for bit.
 """
 
 from __future__ import annotations
@@ -26,19 +25,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DEFAULT_TOL_ORTHO,
-    GUARANTEE_CONDITION,
     InjectiveMap,
     UpperTriangularPositive,
     as_integer,
-    as_matrix,
     as_real_array,
     as_real_scalar,
     condition_estimates,
     include_frame,
     max_abs,
     orthonormality_defect,
-    tri_solve_inverse,
     validate_injective,
 )
 from .errors import (
@@ -48,7 +43,7 @@ from .errors import (
     RankDeficientError,
     ZeroVectorError,
 )
-from .gram_schmidt import _factor, coefficient_matrix
+from .gram_schmidt import _factor, coefficient_matrix, orthonormalize
 from .matio import matrix_to_object
 
 
@@ -92,24 +87,23 @@ def interpolant(alpha: InjectiveMap, t: float) -> UpperTriangularPositive:
     return _interpolate(coefficient_matrix(alpha), t)
 
 
-def _certificates(inner, points: np.ndarray, triangles: np.ndarray) -> list[float]:
-    """Condition estimates of the stacked points at the times ``inner``, from
+def _certificates(inner, triangles: np.ndarray) -> list[float]:
+    """Condition estimates of the homotopy points at the times ``inner``, from
     one call of the rank rule on the stack of their triangles.
 
-    A failure raises ``InternalRankLossError`` naming the smallest failing t
-    (``inner`` is ascending), with the error that its point and triangle give
-    on their own.
+    The points need no check of their own: each is (1 - t) * alpha + t * Q
+    with alpha validated and Q a frame, so it is finite. A failure raises
+    ``InternalRankLossError`` naming the smallest failing t (``inner`` is
+    ascending), with the error that its triangle gives on its own.
     """
     try:
-        if not (np.isfinite(points).all() and np.isfinite(triangles).all()):
-            raise NonFiniteError("a homotopy point or triangle is not finite")
+        if not np.isfinite(triangles).all():
+            raise NonFiniteError("a homotopy triangle is not finite")
         return condition_estimates(triangles)
     except (RankDeficientError, NonFiniteError):
-        # Revalidating t by t finds the first failure, and the point's
-        # error wins over its triangle's.
-        for t, point, triangle in zip(inner, points, triangles):
+        # Revalidating t by t finds the first failure.
+        for t, triangle in zip(inner, triangles):
             try:
-                as_matrix(point)
                 validate_injective(triangle)
             except (RankDeficientError, NonFiniteError) as exc:
                 raise InternalRankLossError(
@@ -120,8 +114,8 @@ def _certificates(inner, points: np.ndarray, triangles: np.ndarray) -> list[floa
 
 def _step(alpha: InjectiveMap, end: InjectiveMap, r: np.ndarray, ts):
     """The homotopy points (1 - t) * alpha + t * end for the times ``ts``,
-    ascending without repeats in [0, 1], where ``end`` is alpha's frame Q or
-    alpha @ M and ``r`` the dense R of alpha = Q @ R.
+    ascending without repeats in [0, 1], where ``end`` is alpha's frame Q and
+    ``r`` the dense R of alpha = Q @ R.
 
     Returns the points in the order of ``ts``, and the stack of the d x d
     triangles (1 - t) * R + t * I of the times strictly inside (0, 1). Both
@@ -144,7 +138,7 @@ def _step(alpha: InjectiveMap, end: InjectiveMap, r: np.ndarray, ts):
         point += t * end.matrix
         np.multiply(1.0 - t, r, out=triangle)
         triangle += t * eye
-    conditions = _certificates(inner, stack, triangles) if inner else []
+    conditions = _certificates(inner, triangles) if inner else []
     stack.setflags(write=False)
     points = [
         InjectiveMap(matrix=point, condition_estimate=condition)
@@ -198,31 +192,23 @@ def sphere_interpolant(v, t: float) -> np.ndarray:
 def trace_path(alpha: InjectiveMap, n: int) -> HomotopyPath:
     """Sample the homotopy at n uniform times t_k = k / (n - 1).
 
-    M, the endpoint alpha @ M and R = M^-1 are computed once, and one call of
-    the step forms every sample (1 - t) * alpha + t * (alpha @ M), certifying
-    the interior ones together through their triangles (1 - t) * R + t * I.
-    The endpoint is alpha @ M bit for bit, accurate only to about
-    eps * condition. Each sample records the minimum interpolant diagonal
-    and an orthogonality defect: of the point itself at t = 0 and t = 1, and
-    of its triangle in between, which equals the point's in exact
-    arithmetic. Within the guaranteed condition regime the t = 1 defect must
-    meet the 1e-10 orthogonality tolerance; beyond it, it is a diagnostic
-    only.
+    The sweep runs once, and one call of the step forms every sample
+    (1 - t) * alpha + t * Q from its frame Q and triangle R, certifying the
+    interior ones together through their triangles (1 - t) * R + t * I. The
+    endpoint is the frame of :func:`retract` bit for bit. Each sample records
+    the minimum interpolant diagonal, read from the coefficient matrix M, and
+    an orthogonality defect: of the point itself at t = 0 and t = 1, and of
+    its triangle in between, which equals the point's in exact arithmetic.
+    Raises ``NumericalRankLossError`` where :func:`orthonormalize` does.
     """
     n = as_integer(n, "n")
     if n < 2:
         raise DomainError(f"need at least 2 samples, got {n}")
-    coeff = coefficient_matrix(alpha)
-    diag = coeff.diagonal()
-    end = InjectiveMap(matrix=as_matrix(alpha.matrix @ coeff.matrix), condition_estimate=1.0)
-    try:
-        r = tri_solve_inverse(coeff).matrix
-    except NonFiniteError as exc:
-        raise InternalRankLossError(
-            f"triangular factor R = M^-1 failed revalidation: {exc}"
-        ) from exc
+    res = orthonormalize(alpha)
+    end = include_frame(res.frame)
+    diag = res.coefficient_matrix.diagonal()
     ts = [k / (n - 1) for k in range(n)]
-    points, triangles = _step(alpha, end, r, ts)
+    points, triangles = _step(alpha, end, res.triangular_factor.matrix, ts)
     defects = [
         orthonormality_defect(alpha.matrix),
         *orthonormality_defect(triangles).tolist(),
@@ -234,15 +220,6 @@ def trace_path(alpha: InjectiveMap, n: int) -> HomotopyPath:
         PathSample(t=t, point=point, min_interpolant_diag=low, ortho_defect=defect)
         for t, point, low, defect in zip(ts, points, min_diags, defects)
     ]
-    if (
-        alpha.condition_estimate <= GUARANTEE_CONDITION
-        and samples[-1].ortho_defect > DEFAULT_TOL_ORTHO
-    ):
-        raise InternalRankLossError(
-            f"endpoint orthogonality defect {samples[-1].ortho_defect:.3e} "
-            f"exceeds tol_ortho={DEFAULT_TOL_ORTHO:g} despite condition estimate "
-            f"{alpha.condition_estimate:.3e}"
-        )
     return HomotopyPath(source=alpha, samples=tuple(samples))
 
 

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -108,15 +109,17 @@ def test_criterion_1_fails_on_a_scaled_frame(monkeypatch):
     assert not result.passed, result.detail
 
 
-def test_criterion_2_fails_on_a_perturbed_coefficient_matrix(monkeypatch):
-    # A coefficient matrix off by 1e-8 relative moves trace_path's t = 1
-    # point off the frame; the row reads that point, so it must fail.
-    real = homotopy.coefficient_matrix
+def test_criterion_2_fails_on_a_perturbed_frame(monkeypatch):
+    # A frame off by 1e-8 relative in homotopy's own sweep moves trace_path's
+    # t = 1 point off the family's frame; the row reads that point, so it
+    # must fail.
+    real = homotopy.orthonormalize
 
     def perturbed(alpha):
-        return UpperTriangularPositive.from_dense(real(alpha).to_dense() * (1.0 + 1e-8))
+        res = real(alpha)
+        return replace(res, frame=StiefelFrame(matrix=res.frame.matrix * (1.0 + 1e-8)))
 
-    monkeypatch.setattr(homotopy, "coefficient_matrix", perturbed)
+    monkeypatch.setattr(homotopy, "orthonormalize", perturbed)
     result = _run_row(monkeypatch, "criterion-2-homotopy-endpoints")
     assert not result.passed, result.detail
 

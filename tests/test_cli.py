@@ -233,22 +233,19 @@ class TestPath:
             run(["path", "--dims", "4x2", "--seed", "7", "--steps", "1"])
         assert excinfo.value.code == 2
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="path ends at alpha @ M, whose orthogonality defect 1.173e-10 "
-        "exceeds the endpoint tolerance here; retract's frame meets it",
-    )
     def test_lauchli_input_inside_the_guarantee(self, tmp_path, capsys):
         # [1 ... 1; eps * I_40] with eps = sqrt(41) / 9e5, condition 8.89e5.
         src = tmp_path / "lauchli.json"
         eps = np.sqrt(41) / 9e5
         src.write_text(format_matrix_json(np.vstack([np.ones((1, 40)), eps * np.eye(40)])))
-        out = tmp_path / "out.json"
         codes = [
-            run([sub, "--input", str(src), "--output", str(out)]) for sub in ("retract", "path")
+            run([sub, "--input", str(src), "--output", str(tmp_path / f"{sub}.json")])
+            for sub in ("retract", "path")
         ]
         assert codes == [0, 0], capsys.readouterr().err
+        frame = json.loads((tmp_path / "retract.json").read_text())["frame"]
+        end = json.loads((tmp_path / "path.json").read_text())[-1]["point"]
+        assert end == frame
 
 
 class TestCheck:
@@ -371,6 +368,13 @@ class TestConfigValidation:
         with pytest.raises(SystemExit) as excinfo:
             run(["retract", "--dims", "4by2", "--seed", "1"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("dims", ["0x3", "3x0"])
+    def test_non_positive_dims_rejected(self, dims, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run(["retract", "--dims", dims, "--seed", "1"])
+        assert excinfo.value.code == 2
+        assert "dims must be positive" in capsys.readouterr().err
 
     def test_zero_batch_rejected(self):
         with pytest.raises(SystemExit) as excinfo:

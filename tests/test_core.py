@@ -12,6 +12,7 @@ from stiefel_retract import (
     NonFiniteError,
     NotOrthonormalError,
     RankDeficientError,
+    StiefelRetractError,
     UpperTriangularPositive,
     include_frame,
     random_rotation,
@@ -67,6 +68,20 @@ class TestValidateInjective:
     def test_wide_matrix_rejected(self):
         with pytest.raises(DimensionError):
             validate_injective(np.ones((2, 3)))
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (np.ones(3), "2-d"),
+            (np.ones((2, 2, 2)), "2-d"),
+            (np.ones((0, 2)), "positive"),
+            (np.ones((2, 0)), "positive"),
+        ],
+        ids=["vector", "stack", "no-rows", "no-columns"],
+    )
+    def test_not_a_nonempty_matrix_rejected(self, raw, message):
+        with pytest.raises(DimensionError, match=message):
+            validate_injective(raw)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
@@ -345,6 +360,33 @@ def test_sampling_reads_counts_as_integers(draw, error):
     # Library errors, not numpy's TypeError or a shape drawn from 4.5.
     with pytest.raises(error):
         draw(np.random.default_rng(0))
+
+
+class _Draws:
+    """A generator stand-in whose ``uniform`` returns the given draws in
+    turn and then repeats the last one."""
+
+    def __init__(self, *draws):
+        self.draws = [np.array(d, dtype=float) for d in draws]
+
+    def uniform(self, low, high, size):
+        draw = self.draws.pop(0) if len(self.draws) > 1 else self.draws[0]
+        assert draw.shape == size
+        return draw
+
+
+def test_generate_injective_counts_each_rejected_draw():
+    # A rank-deficient draw, then one past max_condition (condition 1e3),
+    # then the identity.
+    draws = _Draws(np.zeros((3, 2)), [[1.0, 0.0], [0.0, 1e-3], [0.0, 0.0]], np.eye(3)[:, :2])
+    alpha, resamples = generate_injective(draws, 3, 2, max_condition=10.0)
+    assert resamples == 2
+    assert np.array_equal(alpha.matrix, np.eye(3)[:, :2])
+
+
+def test_generate_injective_gives_up_after_max_tries():
+    with pytest.raises(StiefelRetractError, match="could not generate a valid 2x1"):
+        generate_injective(_Draws(np.zeros((2, 1))), 2, 1)
 
 
 @pytest.mark.filterwarnings("error")

@@ -328,8 +328,10 @@ class TestHomotopyStepOnFactor:
         monkeypatch.setattr(
             UpperTriangularPositive, "from_dense", classmethod(counted_from_dense)
         )
+        # homotopy does not import the inverse; binding it there too keeps
+        # a new import from escaping the count.
         for module in (core, gram_schmidt, homotopy):
-            monkeypatch.setattr(module, "tri_solve_inverse", counted_inverse)
+            monkeypatch.setattr(module, "tri_solve_inverse", counted_inverse, raising=False)
         rng = np.random.default_rng(26)
         for m, d in ((3, 2), (6, 6), (16, 12)):
             alpha = conditioned_injective(rng, m, d, 1e3)
@@ -337,7 +339,7 @@ class TestHomotopyStepOnFactor:
                 homotopy_step(alpha, t)
         assert calls == []
         trace_path(conditioned_injective(rng, 6, 3, 1e3), 3)
-        assert calls.count("tri_solve_inverse") == 2
+        assert calls.count("tri_solve_inverse") == 1
 
 
 

@@ -24,7 +24,7 @@ from stiefel_retract import (
     validate_injective,
 )
 from stiefel_retract import homotopy
-from stiefel_retract.core import max_abs, orthonormality_defect, tri_solve_inverse
+from stiefel_retract.core import max_abs, orthonormality_defect
 from stiefel_retract.homotopy import path_to_csv, path_to_json_obj
 from stiefel_retract.matio import MatrixFormatError, matrix_from_object
 from stiefel_retract.sampling import (
@@ -258,6 +258,10 @@ class TestSphereInterpolant:
         with pytest.raises(ZeroVectorError):
             sphere_interpolant(np.zeros(3), 0.5)
 
+    def test_empty_vector_rejected(self):
+        with pytest.raises(DomainError, match="nonempty"):
+            sphere_interpolant(np.zeros(0), 0.5)
+
     def test_non_finite_rejected(self):
         with pytest.raises(NonFiniteError):
             sphere_interpolant(np.array([np.nan, 1.0]), 0.5)
@@ -368,25 +372,14 @@ class TestTracePath:
             assert path.samples[-1].ortho_defect <= 1e-10
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=InternalRankLossError,
-    reason="the t = 1 point alpha @ M carries rounding of about eps * condition, "
-    "which exceeds the 1e-10 endpoint tolerance on some inputs near condition 9e5",
-)
 def test_endpoint_meets_tolerance_near_guarantee_boundary():
     rng = np.random.default_rng(43)
     for _ in range(400):
         m, d = random_dims(rng, 24)
-        trace_path(conditioned_injective(rng, m, d, 9e5), 2)
+        path = trace_path(conditioned_injective(rng, m, d, 9e5), 2)
+        assert path.samples[-1].ortho_defect <= 1e-10
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=InternalRankLossError,
-    reason="the t = 1 point alpha @ M misses the frame by up to 3.2e-10 on "
-    "Läuchli matrices inside the guaranteed regime",
-)
 def test_endpoint_is_the_frame_on_lauchli_matrices():
     # [1 ... 1; eps * I_n], the textbook hard case for Gram-Schmidt (Läuchli,
     # Numer. Math. 3, 1961), at condition estimates between 5e5 and 9.9e5.
@@ -396,7 +389,7 @@ def test_endpoint_is_the_frame_on_lauchli_matrices():
             alpha = validate_injective(np.vstack([np.ones((1, n)), eps * np.eye(n)]))
             assert alpha.condition_estimate <= 9.9e5
             end = trace_path(alpha, 2).samples[-1].point
-            assert max_abs(end.matrix - retract(alpha).matrix) <= 1e-10
+            assert np.array_equal(end.matrix, retract(alpha).matrix)
 
 
 def _seeded_paths(n=33):
@@ -426,11 +419,19 @@ class TestStraightLinePath:
                 bound = 1e3 * eps * scale + s.t * 1e3 * eps * alpha.condition_estimate
                 assert max_abs(s.point.matrix - product) <= bound
 
-    def test_endpoint_is_alpha_times_coefficients_bit_for_bit(self):
+    def test_endpoint_is_the_retraction_bit_for_bit(self):
         for alpha, path in _seeded_paths():
-            end = alpha.matrix @ coefficient_matrix(alpha).to_dense()
-            assert np.array_equal(path.samples[-1].point.matrix, end)
+            assert np.array_equal(path.samples[-1].point.matrix, retract(alpha).matrix)
             assert path.samples[0].point is alpha
+
+    @pytest.mark.filterwarnings("error")
+    def test_endpoint_is_the_frame_where_m_inverts_past_the_float_range(self):
+        # M = 1 / R is subnormal here, and inverting it back overflows; the
+        # path needs only the sweep's Q and R, as retract does.
+        alpha = validate_injective([[1.7976931348623157e308]])
+        path = trace_path(alpha, 3)
+        assert np.array_equal(path.samples[-1].point.matrix, retract(alpha).matrix)
+        assert path.samples[1].point.matrix.tolist() == [[0.5 * 1.7976931348623157e308 + 0.5]]
 
     def test_points_are_read_only_column_major(self):
         for _, path in _seeded_paths(n=5):
@@ -444,6 +445,16 @@ class TestStraightLinePath:
         _refuse_certificates(monkeypatch, error)
         with pytest.raises(InternalRankLossError, match=r"t=0\.5 failed revalidation: injected"):
             trace_path(alpha, 3)
+
+    def test_stack_failure_no_lone_time_reproduces_is_raised_as_is(self, monkeypatch):
+        # Revalidating t by t names no time here, so the stack's own error
+        # propagates rather than a made-up t.
+        def refuse(a):
+            raise RankDeficientError("injected")
+
+        monkeypatch.setattr(homotopy, "condition_estimates", refuse)
+        with pytest.raises(RankDeficientError, match="injected"):
+            trace_path(validate_injective(HAND_INPUT), 3)
 
     def test_every_sample_goes_through_the_step(self, monkeypatch):
         calls = []
@@ -463,10 +474,10 @@ class TestStraightLinePath:
             assert len(calls) == 1
 
     def test_endpoints_need_no_certificate(self, monkeypatch):
-        # t = 0 is the input and t = 1 the product alpha @ M with condition
-        # 1, so a two-sample path certifies nothing.
+        # t = 0 is the input and t = 1 the frame with condition 1, so a
+        # two-sample path certifies nothing.
         alpha = validate_injective(HAND_INPUT)
-        end = alpha.matrix @ coefficient_matrix(alpha).to_dense()
+        end = retract(alpha).matrix
         _refuse_certificates(monkeypatch, RankDeficientError)
         path = trace_path(alpha, 2)
         assert path.samples[0].point is alpha
@@ -474,11 +485,10 @@ class TestStraightLinePath:
         assert path.samples[1].point.condition_estimate == 1.0
 
 def _per_t_reference(alpha):
-    """The t = 1 point alpha @ M, R = M^-1 and M's diagonal, as trace_path
-    forms them, for comparing its samples with the per-t formula."""
-    coeff = coefficient_matrix(alpha)
-    end = alpha.matrix @ coeff.to_dense()
-    return end, tri_solve_inverse(coeff).to_dense(), coeff.diagonal()
+    """The t = 1 point Q, R and M's diagonal, as trace_path forms them from
+    one sweep, for comparing its samples with the per-t formula."""
+    res = orthonormalize(alpha)
+    return res.frame.matrix, res.triangular_factor.to_dense(), res.coefficient_matrix.diagonal()
 
 
 def _refuse_triangles_of(monkeypatch, r, bad_ts):

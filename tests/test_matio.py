@@ -52,6 +52,8 @@ def test_csv_blank_line_rejected():
 def test_csv_empty_rejected():
     with pytest.raises(MatrixFormatError):
         parse_matrix_csv("")
+    with pytest.raises(MatrixFormatError, match="no matrix blocks"):
+        parse_matrix_blocks_csv("\n\n")
 
 
 def test_json_data_length_mismatch_rejected():
@@ -69,6 +71,20 @@ def test_json_non_numeric_rejected():
         matrix_from_object({"rows": 1, "cols": 2, "data": [1.0, "x"]})
     with pytest.raises(MatrixFormatError):
         matrix_from_object({"rows": 1, "cols": 2, "data": [1.0, True]})
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ([1.0], "JSON object"),
+        ({"rows": 1, "cols": 1, "data": 1.0}, "list of numbers"),
+        ({"rows": 1, "cols": 2, "data": "12"}, "list of numbers"),
+    ],
+    ids=["array", "number-data", "text-data"],
+)
+def test_json_value_of_the_wrong_kind_rejected(obj, message):
+    with pytest.raises(MatrixFormatError, match=message):
+        matrix_from_object(obj)
 
 
 def test_json_bad_shape_rejected():
