@@ -204,7 +204,8 @@ def condition_estimates(a: np.ndarray) -> list[float]:
         if not (math.isfinite(row[0]) and math.isfinite(row[-1])):
             # The SVD overflowed on huge finite entries. One exact power of
             # two brings max|a| into [0.5, 1) and leaves the ratio unchanged.
-            scaled = np.ldexp(a[k], -math.frexp(max_abs(a[k]))[1])
+            block = a[k]
+            scaled = np.ldexp(block, -math.frexp(max_abs(block))[1])
             row = np.linalg.svd(scaled, compute_uv=False).tolist()
         largest, smallest = row[0], row[-1]
         if smallest <= DEFAULT_TOL_RANK * largest:
