@@ -137,12 +137,15 @@ def _obtain_input(cfg: argparse.Namespace, square: bool = False) -> InjectiveMap
         if square and raw.shape[0] != raw.shape[1]:
             raise DimensionError("qr requires a square matrix")
         return validate_injective(raw)
-    m, d = cfg.dims
     rng = np.random.default_rng(cfg.seed)
-    alpha, resamples = generate_injective(rng, m, d)
-    if resamples:
-        print(f"resampled {resamples} draw(s) that failed validation", file=sys.stderr)
+    alpha, resamples = generate_injective(rng, *cfg.dims)
+    _report_resamples(resamples)
     return alpha
+
+
+def _report_resamples(count: int) -> None:
+    if count:
+        print(f"resampled {count} draw(s) that failed validation", file=sys.stderr)
 
 
 def _write_output(cfg: argparse.Namespace, text: str) -> None:
@@ -199,19 +202,17 @@ def cmd_qr(cfg: argparse.Namespace) -> int:
 
 
 def _check_item(cfg: argparse.Namespace, index: int, fixed: InjectiveMap | None):
-    seed = (cfg.seed or 0) + index
-    rng = np.random.default_rng(seed)
-    alpha = fixed
-    if alpha is None:
-        alpha, _ = generate_injective(rng, *cfg.dims)
-    rotation_seed = int(rng.integers(0, 2**63))
-    o = random_rotation(alpha.matrix.shape[0], rotation_seed)
-    return check_equivariance(alpha, o, tolerance=cfg.tolerance)
+    """Report of batch item ``index``, and the draws resampled to make its input."""
+    rng = np.random.default_rng((cfg.seed or 0) + index)
+    alpha, resamples = (fixed, 0) if fixed is not None else generate_injective(rng, *cfg.dims)
+    o = random_rotation(alpha.matrix.shape[0], int(rng.integers(0, 2**63)))
+    return check_equivariance(alpha, o, tolerance=cfg.tolerance), resamples
 
 
 def cmd_check(cfg: argparse.Namespace) -> int:
     fixed = _obtain_input(cfg) if cfg.input_path is not None else None
-    reports = [_check_item(cfg, i, fixed) for i in range(cfg.batch)]
+    reports, resamples = zip(*[_check_item(cfg, i, fixed) for i in range(cfg.batch)])
+    _report_resamples(sum(resamples))
     lines = [json.dumps(report_to_json_obj(rep)) for rep in reports]
     _write_output(cfg, "\n".join(lines) + "\n")
     passed = sum(rep.passed for rep in reports)

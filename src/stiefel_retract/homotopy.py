@@ -14,7 +14,8 @@ than m x d ones. One step rule, ``_step``, forms every point from an
 endpoint, R and a sequence of times; the points in between are one stack,
 certified by one batched SVD of their triangles. ``homotopy_step``,
 ``trace_path`` and ``check_equivariance`` all pass the sweep's frame and R,
-so every t = 1 point is the frame bit for bit.
+so every t = 1 point is the frame bit for bit; none of them forms M, whose
+diagonal is 1 / diag(R).
 """
 
 from __future__ import annotations
@@ -40,10 +41,11 @@ from .errors import (
     DomainError,
     InternalRankLossError,
     NonFiniteError,
+    NumericalRankLossError,
     RankDeficientError,
     ZeroVectorError,
 )
-from .gram_schmidt import _factor, coefficient_matrix, orthonormalize
+from .gram_schmidt import _factor, coefficient_matrix
 from .matio import matrix_to_object
 
 
@@ -196,29 +198,31 @@ def trace_path(alpha: InjectiveMap, n: int) -> HomotopyPath:
     (1 - t) * alpha + t * Q from its frame Q and triangle R, certifying the
     interior ones together through their triangles (1 - t) * R + t * I. The
     endpoint is the frame of :func:`retract` bit for bit. Each sample records
-    the minimum interpolant diagonal, read from the coefficient matrix M, and
-    an orthogonality defect: of the point itself at t = 0 and t = 1, and of
-    its triangle in between, which equals the point's in exact arithmetic.
-    Raises ``NumericalRankLossError`` where :func:`orthonormalize` does.
+    the least interpolant diagonal entry, (1 - t) + t / max(diag(R)), and an
+    orthogonality defect: of the point at t = 0 and t = 1, and of its triangle
+    in between (the point's, in exact arithmetic). ``NumericalRankLossError``
+    is raised where the sweep fails, R overflows or 1 / max(diag(R)) does.
     """
     n = as_integer(n, "n")
     if n < 2:
         raise DomainError(f"need at least 2 samples, got {n}")
-    res = orthonormalize(alpha)
-    end = include_frame(res.frame)
-    diag = res.coefficient_matrix.diagonal()
+    frame, r = _factor(alpha)
+    # M's least diagonal entry, bit for bit: M_ii = 1 / r_ii and rounding is monotone.
+    low = 1.0 / float(r.diagonal().max())
+    if not (low < math.inf and np.isfinite(r).all()):
+        raise NumericalRankLossError(
+            "R or the diagonal of M = R^-1 lies outside the float range"
+        )
     ts = [k / (n - 1) for k in range(n)]
-    points, triangles = _step(alpha, end, res.triangular_factor.matrix, ts)
+    points, triangles = _step(alpha, include_frame(frame), r, ts)
     defects = [
         orthonormality_defect(alpha.matrix),
         *orthonormality_defect(triangles).tolist(),
-        orthonormality_defect(end.matrix),
+        orthonormality_defect(frame.matrix),
     ]
-    s = np.array(ts)[:, None]
-    min_diags = ((1.0 - s) + s * diag).min(axis=1).tolist()
     samples = [
-        PathSample(t=t, point=point, min_interpolant_diag=low, ortho_defect=defect)
-        for t, point, low, defect in zip(ts, points, min_diags, defects)
+        PathSample(t=t, point=p, min_interpolant_diag=(1.0 - t) + t * low, ortho_defect=e)
+        for t, p, e in zip(ts, points, defects)
     ]
     return HomotopyPath(source=alpha, samples=tuple(samples))
 

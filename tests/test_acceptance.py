@@ -11,7 +11,6 @@ import re
 import subprocess
 import sys
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -113,13 +112,13 @@ def test_criterion_2_fails_on_a_perturbed_frame(monkeypatch):
     # A frame off by 1e-8 relative in homotopy's own sweep moves trace_path's
     # t = 1 point off the family's frame; the row reads that point, so it
     # must fail.
-    real = homotopy.orthonormalize
+    real = homotopy._factor
 
     def perturbed(alpha):
-        res = real(alpha)
-        return replace(res, frame=StiefelFrame(matrix=res.frame.matrix * (1.0 + 1e-8)))
+        frame, r = real(alpha)
+        return StiefelFrame(matrix=frame.matrix * (1.0 + 1e-8)), r
 
-    monkeypatch.setattr(homotopy, "orthonormalize", perturbed)
+    monkeypatch.setattr(homotopy, "_factor", perturbed)
     result = _run_row(monkeypatch, "criterion-2-homotopy-endpoints")
     assert not result.passed, result.detail
 

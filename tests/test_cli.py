@@ -247,6 +247,15 @@ class TestPath:
         end = json.loads((tmp_path / "path.json").read_text())[-1]["point"]
         assert end == frame
 
+    def test_coefficients_past_the_float_range_exit_0(self, tmp_path, capsys):
+        # M's second diagonal entry, 1 / 1e-309, overflows; the path never forms M.
+        src = tmp_path / "a.json"
+        src.write_text(format_matrix_json(np.array([[1e-300, 0.0], [0.0, 1e-309]])))
+        assert run(["path", "--input", str(src), "--steps", "5"]) == 0
+        samples = json.loads(capsys.readouterr().out)
+        low = 1.0 / 1e-300
+        assert [s["min_diag"] for s in samples] == [(1 - t) + t * low for t in (0, 0.25, 0.5, 0.75, 1)]
+
 
 class TestCheck:
     def test_batch_passes(self, capsys):
@@ -309,6 +318,32 @@ class TestCheck:
             o = random_rotation(6, int(rng.integers(0, 2**63)))
             report = check_equivariance(alpha, o, 1e-9)
             assert json.loads(line) == report_to_json_obj(report)
+
+    def test_resampled_draws_counted_once_per_batch(self, monkeypatch, capsys):
+        # Every other draw fails validation, so each item resamples once and
+        # the batch reports its total on one line, as --dims does elsewhere.
+        from stiefel_retract import sampling
+
+        calls = []
+        validate = sampling.validate_injective
+
+        def reject_every_other(raw):
+            calls.append(1)
+            if len(calls) % 2:
+                raise errors.RankDeficientError("injected")
+            return validate(raw)
+
+        monkeypatch.setattr(sampling, "validate_injective", reject_every_other)
+        assert run(["retract", "--dims", "6x2", "--seed", "3"]) == 0
+        assert capsys.readouterr().err == "resampled 1 draw(s) that failed validation\n"
+        calls.clear()
+        assert run(["check", "--dims", "6x2", "--batch", "3", "--seed", "3"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "resampled 3 draw(s) that failed validation\n"
+        assert captured.out.endswith("passed 3/3\n")
+        monkeypatch.undo()
+        assert run(["check", "--dims", "6x2", "--batch", "3", "--seed", "3"]) == 0
+        assert capsys.readouterr().err == ""
 
 
 #: The exit code of every error a subcommand can raise.

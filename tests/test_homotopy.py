@@ -8,6 +8,7 @@ from stiefel_retract import (
     DomainError,
     InternalRankLossError,
     NonFiniteError,
+    NumericalRankLossError,
     RankDeficientError,
     ZeroVectorError,
     check_equivariance,
@@ -433,6 +434,26 @@ class TestStraightLinePath:
         assert np.array_equal(path.samples[-1].point.matrix, retract(alpha).matrix)
         assert path.samples[1].point.matrix.tolist() == [[0.5 * 1.7976931348623157e308 + 0.5]]
 
+    @pytest.mark.filterwarnings("error")
+    def test_traced_where_only_some_coefficients_overflow(self):
+        # M = diag(1 / 1e-300, 1 / 1e-309) overflows in its second entry, but
+        # the interpolant's least diagonal entry, 1 / max(diag(R)), is finite.
+        alpha = validate_injective([[1e-300, 0.0], [0.0, 1e-309]])
+        path = trace_path(alpha, 5)
+        for s in path.samples:
+            assert math.isfinite(s.min_interpolant_diag)
+            assert s.min_interpolant_diag == (1.0 - s.t) + s.t * (1.0 / 1e-300)
+            step = homotopy_step(alpha, s.t)
+            assert s.point.matrix.tobytes() == step.matrix.tobytes()
+            assert s.point.condition_estimate == step.condition_estimate
+
+    @pytest.mark.filterwarnings("error")
+    def test_r_past_the_float_range_off_its_diagonal_raises_a_rank_error(self):
+        # r_12 overflows while r_11 and r_22 do not; the path needs all of R.
+        alpha = validate_injective([[1e308, 1.5e308], [1e308, 1.5e308], [0.0, 1e299]])
+        with pytest.raises(NumericalRankLossError, match="outside the float range"):
+            trace_path(alpha, 3)
+
     def test_points_are_read_only_column_major(self):
         for _, path in _seeded_paths(n=5):
             for s in path.samples:
@@ -523,22 +544,33 @@ def _counted_certificates(monkeypatch):
 
 class TestStackedStep:
     def test_samples_match_the_per_t_formula_bit_for_bit(self):
+        # trace_path reads M's least diagonal entry off R; the reference
+        # reads M itself, also with column j scaled by 2^(k + k_j), |k| <= 900
+        # and |k_j| <= 2.
         rng = np.random.default_rng(47)
         shapes = [(8, 3), (24, 24), (64, 16), (70, 64)]
         for condition in (1.0, 1e2, 1e4, 1e5, 9e5):
             for m, d in shapes:
-                alpha = conditioned_injective(rng, m, d, condition)
-                end, r, diag = _per_t_reference(alpha)
-                path = trace_path(alpha, 33)
-                for s in path.samples[1:-1]:
-                    t = s.t
-                    expected = (1.0 - t) * alpha.matrix + t * end
-                    certificate = validate_injective((1.0 - t) * r + t * np.eye(d))
-                    assert np.array_equal(s.point.matrix, expected)
-                    assert s.point.condition_estimate == certificate.condition_estimate
-                    assert s.min_interpolant_diag == float(np.min((1.0 - t) + t * diag))
-                for s in (path.samples[0], path.samples[-1]):
-                    assert s.ortho_defect == orthonormality_defect(s.point.matrix)
+                base = conditioned_injective(rng, m, d, condition).matrix
+                exps = int(rng.integers(-900, 901)) + rng.integers(-2, 3, size=d)
+                for raw in (base, np.ldexp(base, exps)):
+                    self._assert_per_t_formula(validate_injective(raw))
+
+    @staticmethod
+    def _assert_per_t_formula(alpha):
+        d = alpha.shape[1]
+        end, r, diag = _per_t_reference(alpha)
+        path = trace_path(alpha, 33)
+        for s in path.samples:
+            assert s.min_interpolant_diag == float(np.min((1.0 - s.t) + s.t * diag))
+        for s in path.samples[1:-1]:
+            t = s.t
+            expected = (1.0 - t) * alpha.matrix + t * end
+            certificate = validate_injective((1.0 - t) * r + t * np.eye(d))
+            assert np.array_equal(s.point.matrix, expected)
+            assert s.point.condition_estimate == certificate.condition_estimate
+        for s in (path.samples[0], path.samples[-1]):
+            assert s.ortho_defect == orthonormality_defect(s.point.matrix)
 
     def test_lone_time_matches_the_same_time_in_a_stack(self):
         # homotopy_step asks for one time; its stack of one must give the
