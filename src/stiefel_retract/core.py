@@ -190,13 +190,24 @@ class UpperTriangularPositive:
         return self.matrix.copy()
 
 
+def rank_ratio(largest: float, smallest: float) -> float:
+    """The rank rule, for :func:`condition_estimates` and
+    ``sampling.conditioned_injective``: ``largest / smallest`` if ``smallest``
+    exceeds ``DEFAULT_TOL_RANK * largest``, else ``RankDeficientError``."""
+    if smallest <= DEFAULT_TOL_RANK * largest:
+        raise RankDeficientError(
+            f"columns are not independent at tol_rank={DEFAULT_TOL_RANK:g}: "
+            f"singular-value ratio {smallest / largest if largest else 0.0:.3e}"
+        )
+    return largest / smallest
+
+
 def condition_estimates(a: np.ndarray) -> list[float]:
     """Largest-to-smallest singular-value ratio of each finite matrix of a
     stack ``(n, m, d)``, from one SVD call.
 
-    This is the rank rule: a matrix counts as injective when its smallest
-    singular value exceeds ``DEFAULT_TOL_RANK`` times its largest. Otherwise
-    ``RankDeficientError`` is raised, for the first such matrix of the stack.
+    Each row passes :func:`rank_ratio`, which raises for the first matrix of
+    the stack that fails the rank rule.
     """
     sv = np.linalg.svd(a, compute_uv=False)
     conditions = []
@@ -207,13 +218,7 @@ def condition_estimates(a: np.ndarray) -> list[float]:
             block = a[k]
             scaled = np.ldexp(block, -math.frexp(max_abs(block))[1])
             row = np.linalg.svd(scaled, compute_uv=False).tolist()
-        largest, smallest = row[0], row[-1]
-        if smallest <= DEFAULT_TOL_RANK * largest:
-            raise RankDeficientError(
-                f"columns are not independent at tol_rank={DEFAULT_TOL_RANK:g}: "
-                f"singular-value ratio {smallest / largest if largest else 0.0:.3e}"
-            )
-        conditions.append(largest / smallest)
+        conditions.append(rank_ratio(row[0], row[-1]))
     return conditions
 
 

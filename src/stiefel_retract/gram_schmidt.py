@@ -63,12 +63,12 @@ def _sweep(a: np.ndarray):
     working array, and each column's projections are subtracted from it in
     place.
     """
-    _, exps = np.frexp(np.max(np.abs(a), axis=0))
+    _, exps = np.frexp(np.abs(a).max(axis=0))
     a = np.ldexp(a, -exps)
     m, d = a.shape
-    input_norms = np.linalg.norm(a, axis=0)
+    input_norms = np.sqrt(np.add.reduce(a * a, axis=0))
     floors = (DEFAULT_TOL_RANK * input_norms).tolist()
-    q = np.zeros((m, d), order="F")
+    q = np.empty((m, d), order="F")
     r = np.zeros((d, d), order="F")
     for i in range(d):
         w = a[:, i]
@@ -78,10 +78,7 @@ def _sweep(a: np.ndarray):
             w -= basis.dot(h)
             h2 = w.dot(basis)
             w -= basis.dot(h2)
-            col = r[:i, i]
-            np.add(h, h2, out=col)
-            # Adding +0.0 stores a zero coefficient as +0.0, never -0.0.
-            col += 0.0
+            np.add(h, h2, r[:i, i])
         nrm = math.sqrt(w.dot(w))
         if nrm < floors[i]:
             raise NumericalRankLossError(
@@ -90,7 +87,9 @@ def _sweep(a: np.ndarray):
                 f"tol_rank={DEFAULT_TOL_RANK:g}"
             )
         r[i, i] = nrm
-        np.divide(w, nrm, out=q[:, i])
+        np.divide(w, nrm, q[:, i])
+    # Adding +0.0 stores a zero coefficient of h + h2 as +0.0, never -0.0.
+    r += 0.0
     # r is filled column by column, but the back substitution reads it by
     # rows, and its bits depend on that layout, so the scaled copy is C-order.
     # Column j of r is below sqrt(m) * 2^exps[j], so only a column above

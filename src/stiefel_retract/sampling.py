@@ -2,14 +2,16 @@
 
 Generated matrices have entries uniform in [-1, 1] and are resampled when
 validation rejects them; the resample count is returned so tools can report
-it. Condition-targeted families are built from prescribed singular spectra.
+it. Condition-targeted families take their rank verdict and condition
+estimate from the singular spectra they are built from, within about
+eps * condition of the built matrix's SVD.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import InjectiveMap, as_integer, as_real_scalar, validate_injective
+from .core import InjectiveMap, as_integer, as_matrix, as_real_scalar, rank_ratio, validate_injective
 from .errors import DomainError, RankDeficientError, StiefelRetractError
 
 #: Draws tried by :func:`generate_injective` before it gives up.
@@ -55,8 +57,10 @@ def random_dims(rng: np.random.Generator, max_m: int) -> tuple[int, int]:
 def conditioned_injective(
     rng: np.random.Generator, m: int, d: int, condition: float
 ) -> InjectiveMap:
-    """A validated m x d map with singular values log-spaced so the condition
-    number is close to ``condition``.
+    """A validated m x d map ``U diag(sigma) V^T``, ``sigma`` log-spaced from
+    1 down to ``1 / condition``. Its rank verdict and ``condition_estimate``
+    come from ``sigma`` through ``rank_ratio``, within about eps * condition
+    of the SVD of the product.
 
     Orthogonal factors come from LAPACK QR of Gaussian draws, independent of
     this package's own sweep, so tests that target a conditioning regime do
@@ -64,9 +68,10 @@ def conditioned_injective(
     """
     m, d = as_integer(m, "m"), as_integer(d, "d")
     condition = as_real_scalar(condition, "condition")
-    if not condition >= 1.0:
-        raise DomainError(f"condition must be >= 1, got {condition}")
+    if not 1.0 <= condition < np.inf:
+        raise DomainError(f"condition must be finite and >= 1, got {condition}")
     u, _ = np.linalg.qr(rng.standard_normal((m, d)))
     v, _ = np.linalg.qr(rng.standard_normal((d, d)))
     sigma = np.logspace(0.0, -np.log10(condition), num=d)
-    return validate_injective(u @ (sigma[:, None] * v.T))
+    a = as_matrix(u @ (sigma[:, None] * v.T))
+    return InjectiveMap(matrix=a, condition_estimate=rank_ratio(*sigma[[0, -1]].tolist()))

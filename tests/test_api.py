@@ -108,8 +108,8 @@ def test_library_reads_triangles_without_copying():
 
 
 def test_only_core_runs_a_singular_value_decomposition():
-    # Every rank verdict and condition estimate comes from
-    # core.condition_estimates, so the rank rule and its overflow rescale
+    # Every computed rank verdict and condition estimate comes from
+    # core.condition_estimates, so the rule's SVD and its overflow rescale
     # have one owner; an SVD elsewhere would be a second copy of the rule.
     naming = [
         path.name
@@ -137,7 +137,7 @@ def test_only_core_and_matio_cast_to_float():
 
 
 def test_only_listed_modules_name_the_rank_tolerance():
-    # core.condition_estimates is the one rank verdict. The sweep's collapse
+    # core.rank_ratio is the one rank verdict. The sweep's collapse
     # floor is a different rule on residual ratios, selftest prints the
     # threshold in its rows, and __init__ re-exports it; a copy anywhere
     # else, say as an absolute norm floor, would be a second rank rule.

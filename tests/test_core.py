@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from stiefel_retract import (
     validate_injective,
     validate_rotation,
 )
+from stiefel_retract import core
 from stiefel_retract.core import max_abs, orthonormality_defect
 from stiefel_retract.sampling import (
     conditioned_injective,
@@ -343,6 +345,65 @@ def test_conditioned_injective_rejects_a_condition_below_one(condition):
     # A library error, and NaN stops here rather than in validation.
     with pytest.raises(DomainError):
         conditioned_injective(np.random.default_rng(0), 4, 2, condition)
+
+
+def test_conditioned_injective_rejects_an_infinite_condition():
+    # A DomainError before any numpy call: np.logspace would warn and the
+    # NaN matrix would be blamed on the caller.
+    with pytest.raises(DomainError, match="finite"):
+        conditioned_injective(np.random.default_rng(0), 4, 2, float("inf"))
+
+
+def _conditioned_family():
+    rng = np.random.default_rng(24)
+    for _ in range(40):
+        m = int(rng.integers(1, 301))
+        d = int(rng.integers(1, min(m, 120) + 1))
+        yield m, d, float(10.0 ** rng.uniform(0.0, 6.0)), int(rng.integers(2**31))
+    yield from [(2000, 100, 9e5, 1), (256, 256, 9e5, 2), (40, 1, 1e5, 3), (9, 5, 1.0, 4)]
+
+
+def test_conditioned_estimate_agrees_with_the_svd_of_the_returned_matrix():
+    for m, d, condition, seed in _conditioned_family():
+        alpha = conditioned_injective(np.random.default_rng(seed), m, d, condition)
+        sv = np.linalg.svd(alpha.matrix, compute_uv=False)
+        assert alpha.condition_estimate == pytest.approx(sv[0] / sv[-1], rel=1e-8)
+        if d == 1 or condition == 1.0:
+            assert alpha.condition_estimate == 1.0
+
+
+def test_conditioned_injective_returns_the_prescribed_product():
+    for m, d, condition, seed in list(_conditioned_family())[::4]:
+        rng = np.random.default_rng(seed)
+        twin = copy.deepcopy(rng)
+        alpha = conditioned_injective(rng, m, d, condition)
+        u, _ = np.linalg.qr(twin.standard_normal((m, d)))
+        v, _ = np.linalg.qr(twin.standard_normal((d, d)))
+        sigma = np.logspace(0.0, -np.log10(condition), num=d)
+        assert alpha.matrix.tobytes() == (u @ (sigma[:, None] * v.T)).tobytes()
+        assert alpha.matrix.flags.f_contiguous and not alpha.matrix.flags.writeable
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("shape", [(8, 4), (60, 12)])
+def test_conditioned_injective_keeps_the_rank_rule(shape):
+    # The prescribed ratio meets the rule's threshold exactly at 1e10; a
+    # verdict taken from the spectrum without the rule would accept 1e300.
+    rng = np.random.default_rng(7)
+    assert conditioned_injective(rng, *shape, 9.99e9).condition_estimate < 1e10
+    for condition in (1e10, 1e16, 1e300):
+        with pytest.raises(RankDeficientError, match=f"{1 / condition:.3e}"):
+            conditioned_injective(rng, *shape, condition)
+    assert conditioned_injective(rng, shape[0], 1, 1e300).condition_estimate == 1.0
+
+
+def test_conditioned_injective_runs_no_svd_of_the_product(monkeypatch):
+    def refuse(a):
+        raise AssertionError("condition_estimates called")
+
+    monkeypatch.setattr(core, "condition_estimates", refuse)
+    alpha = conditioned_injective(np.random.default_rng(0), 30, 10, 1e5)
+    assert alpha.condition_estimate == pytest.approx(1e5, rel=1e-12)
 
 
 @pytest.mark.parametrize(
