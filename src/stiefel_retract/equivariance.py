@@ -8,7 +8,7 @@ defects on a concrete input/rotation pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -16,11 +16,11 @@ from .core import (
     InjectiveMap,
     Rotation,
     as_integer,
+    as_matrix,
     as_real_scalar,
     include_frame,
     max_abs,
-    validate_injective,
-    validate_rotation,
+    validate_frame,
 )
 from .errors import DimensionError, DomainError
 from .gram_schmidt import orthonormalize
@@ -41,31 +41,30 @@ def random_rotation(m: int, seed: int) -> Rotation:
     """Haar-distributed rotation, deterministic given the seed.
 
     Mezzadri's recipe (Notices AMS 54, 2007): LAPACK's Householder QR of a
-    seeded m x m Gaussian, with each column of Q multiplied by the sign of
-    R's matching diagonal entry, so that R's diagonal is positive and Q is
-    Haar on O(m); the last column is then negated if the determinant comes
-    out -1. The rotation does not depend on this library's Gram-Schmidt
-    sweep, which it is used to check.
+    seeded m x m Gaussian, each column of Q times the sign of R's matching
+    diagonal entry, so that Q is Haar on O(m). One determinant then sets the
+    sign, negating the last column if it is -1, and only the frame gate
+    checks the result. The rotation does not depend on this library's
+    Gram-Schmidt sweep, which it is used to check.
     """
     m, seed = as_integer(m, "m"), as_integer(seed, "seed")
     if m < 1 or seed < 0:
         raise DomainError(f"need a positive m and a nonnegative seed, got {m} and {seed}")
-    gauss = np.random.default_rng(seed).standard_normal((m, m))
-    q, r = np.linalg.qr(gauss)
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((m, m)))
     q *= np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
     if np.linalg.det(q) < 0.0:
         q[:, -1] = -q[:, -1]
-    return validate_rotation(q)
+    return Rotation(matrix=validate_frame(q).matrix)
 
 
 def act(o: Rotation, alpha: InjectiveMap) -> InjectiveMap:
-    """Left-multiply by the rotation and revalidate (full rank is preserved
-    since rotations are invertible)."""
+    """Left-multiply by the rotation. Rotations keep singular values, so the
+    product keeps ``alpha``'s rank verdict and ``condition_estimate``."""
     if o.dim != alpha.matrix.shape[0]:
         raise DimensionError(
             f"rotation is {o.dim}x{o.dim} but map has {alpha.matrix.shape[0]} rows"
         )
-    return validate_injective(o.matrix @ alpha.matrix)
+    return replace(alpha, matrix=as_matrix(o.matrix @ alpha.matrix))
 
 
 def check_equivariance(

@@ -3,8 +3,7 @@
 Generated matrices have entries uniform in [-1, 1] and are resampled when
 validation rejects them; the resample count is returned so tools can report
 it. Condition-targeted families take their rank verdict and condition
-estimate from the singular spectra they are built from, within about
-eps * condition of the built matrix's SVD.
+estimate from the singular spectra they are built from.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import InjectiveMap, as_integer, as_matrix, as_real_scalar, rank_ratio, validate_injective
-from .errors import DomainError, RankDeficientError, StiefelRetractError
+from .errors import DimensionError, DomainError, RankDeficientError, StiefelRetractError
 
 #: Draws tried by :func:`generate_injective` before it gives up.
 MAX_TRIES = 1000
@@ -49,6 +48,8 @@ def generate_injective(
 
 def random_dims(rng: np.random.Generator, max_m: int) -> tuple[int, int]:
     max_m = as_integer(max_m, "max_m")
+    if max_m < 1:
+        raise DomainError(f"max_m must be positive, got {max_m}")
     m = int(rng.integers(1, max_m + 1))
     d = int(rng.integers(1, m + 1))
     return m, d
@@ -60,13 +61,13 @@ def conditioned_injective(
     """A validated m x d map ``U diag(sigma) V^T``, ``sigma`` log-spaced from
     1 down to ``1 / condition``. Its rank verdict and ``condition_estimate``
     come from ``sigma`` through ``rank_ratio``, within about eps * condition
-    of the SVD of the product.
-
-    Orthogonal factors come from LAPACK QR of Gaussian draws, independent of
-    this package's own sweep, so tests that target a conditioning regime do
-    not depend on the code under test.
+    of the SVD of the product. U and V come from LAPACK QR of Gaussian draws,
+    so the map does not depend on this package's own sweep. A shape outside
+    0 < d <= m raises ``DimensionError`` before any draw.
     """
     m, d = as_integer(m, "m"), as_integer(d, "d")
+    if not 0 < d <= m:
+        raise DimensionError(f"need 0 < d <= m for an injective map, got {m}x{d}")
     condition = as_real_scalar(condition, "condition")
     if not 1.0 <= condition < np.inf:
         raise DomainError(f"condition must be finite and >= 1, got {condition}")

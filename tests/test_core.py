@@ -423,6 +423,24 @@ def test_sampling_reads_counts_as_integers(draw, error):
         draw(np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("m, d", [(3, 4), (0, 1), (3, 0), (-1, -2)])
+def test_conditioned_injective_rejects_a_shape_before_drawing(m, d):
+    # A library error instead of numpy's matmul or shape ValueError, and the
+    # generator is left as it was.
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(DimensionError, match=f"d <= m for an injective map, got {m}x{d}"):
+        conditioned_injective(rng, m, d, 10.0)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("max_m", [0, -3])
+def test_random_dims_rejects_a_bound_below_one(max_m):
+    # A library error instead of numpy's "low >= high".
+    with pytest.raises(DomainError, match=f"max_m must be positive, got {max_m}"):
+        random_dims(np.random.default_rng(0), max_m)
+
+
 class _Draws:
     """A generator stand-in whose ``uniform`` returns the given draws in
     turn and then repeats the last one."""

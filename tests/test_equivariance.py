@@ -8,6 +8,7 @@ from stiefel_retract import (
     act,
     check_equivariance,
     coefficient_matrix,
+    include_frame,
     interpolant,
     random_rotation,
     retract,
@@ -49,7 +50,7 @@ class TestRandomRotation:
         with pytest.raises(DomainError):
             random_rotation(3, seed=-1)
 
-    @pytest.mark.parametrize("m", range(1, 17))
+    @pytest.mark.parametrize("m", range(1, 65))
     def test_is_sign_fixed_lapack_q(self, m):
         for seed in (0, 1, 7, 2**62 + 3):
             q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((m, m)))
@@ -57,7 +58,10 @@ class TestRandomRotation:
             q = q * np.where(signs == 0.0, 1.0, signs)
             if np.linalg.det(q) < 0.0:
                 q[:, -1] = -q[:, -1]
-            assert random_rotation(m, seed).matrix.tobytes() == np.asfortranarray(q).tobytes()
+            rot = random_rotation(m, seed).matrix
+            assert rot.tobytes() == np.asfortranarray(q).tobytes()
+            assert rot.flags.f_contiguous and not rot.flags.writeable
+            validate_rotation(rot)
 
     def test_orthogonal_with_unit_determinant(self):
         for m in range(1, 33):
@@ -99,7 +103,23 @@ class TestRandomRotation:
             random_rotation(m, seed=m)
         assert calls == []
         equivariance.act(random_rotation(3, seed=1), validate_injective(np.eye(3)[:, :2]))
-        assert calls == ["validate_injective"]
+        assert calls == []
+
+    def test_one_determinant(self, monkeypatch):
+        # The determinant that decides the flip also settles the sign; no
+        # second one gates the result.
+        calls = []
+        det = np.linalg.det
+
+        def counted(a):
+            calls.append(a.shape)
+            return det(a)
+
+        monkeypatch.setattr(np.linalg, "det", counted)
+        for m in (1, 2, 6, 16):
+            random_rotation(m, seed=m)
+            assert calls == [(m, m)]
+            calls.clear()
 
 
 class TestAct:
@@ -132,6 +152,37 @@ class TestAct:
         alpha, _ = generate_injective(np.random.default_rng(2), 4, 2)
         with pytest.raises(DimensionError):
             act(validate_rotation(np.eye(3)), alpha)
+
+    def test_runs_no_rank_rule(self, monkeypatch):
+        from stiefel_retract import core
+
+        def refuse(a):
+            raise AssertionError("condition_estimates called")
+
+        alpha, _ = generate_injective(np.random.default_rng(5), 6, 3)
+        o = random_rotation(6, seed=3)
+        monkeypatch.setattr(core, "condition_estimates", refuse)
+        assert act(o, alpha).condition_estimate == alpha.condition_estimate
+
+    def test_keeps_the_source_verdict(self):
+        # Rotations keep singular values, so the rotated map carries its
+        # source's estimate exactly; its matrix is the product, stored as
+        # every validated map is.
+        rng = np.random.default_rng(51)
+        family = [generate_injective(rng, *random_dims(rng, 32))[0] for _ in range(40)]
+        family += [
+            conditioned_injective(rng, *random_dims(rng, 32), condition)
+            for condition in (1e3, 1e4, 1e5, 9e5)
+            for _ in range(5)
+        ]
+        family.append(include_frame(retract(family[0])))
+        for alpha in family:
+            o = random_rotation(alpha.shape[0], int(rng.integers(0, 2**63)))
+            rotated = act(o, alpha)
+            assert rotated.condition_estimate == alpha.condition_estimate
+            product = o.matrix @ alpha.matrix
+            assert rotated.matrix.tobytes(order="F") == product.tobytes(order="F")
+            assert rotated.matrix.flags.f_contiguous and not rotated.matrix.flags.writeable
 
 
 class TestCheckEquivariance:
