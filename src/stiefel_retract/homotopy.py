@@ -73,12 +73,6 @@ def _check_unit_interval(t: float) -> float:
     return value
 
 
-def _interpolate(coeff: UpperTriangularPositive, t: float) -> UpperTriangularPositive:
-    return UpperTriangularPositive.from_dense(
-        (1.0 - t) * np.eye(len(coeff.matrix)) + t * coeff.matrix
-    )
-
-
 def interpolant(alpha: InjectiveMap, t: float) -> UpperTriangularPositive:
     """The triangular interpolant (1 - t) * I + t * coefficient_matrix(alpha).
 
@@ -86,7 +80,8 @@ def interpolant(alpha: InjectiveMap, t: float) -> UpperTriangularPositive:
     every t in [0, 1]. Raises ``DomainError`` for t outside the interval.
     """
     t = _check_unit_interval(t)
-    return _interpolate(coefficient_matrix(alpha), t)
+    coeff = coefficient_matrix(alpha).matrix
+    return UpperTriangularPositive.from_dense((1.0 - t) * np.eye(len(coeff)) + t * coeff)
 
 
 def _certificates(inner, triangles: np.ndarray) -> list[float]:

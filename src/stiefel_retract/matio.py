@@ -15,6 +15,12 @@ import numpy as np
 from .errors import MatrixFormatError
 
 
+def _text(text) -> str:
+    if not isinstance(text, str):
+        raise MatrixFormatError(f"expected matrix text, got {type(text).__name__}")
+    return text
+
+
 def matrix_to_object(a: np.ndarray) -> dict:
     a = np.asarray(a, dtype=float)
     return {
@@ -56,7 +62,7 @@ def format_matrix_json(a: np.ndarray) -> str:
 
 def parse_matrix_json(text: str) -> np.ndarray:
     try:
-        obj = json.loads(text)
+        obj = json.loads(_text(text))
     except (json.JSONDecodeError, RecursionError) as exc:
         raise MatrixFormatError(f"invalid JSON: {exc}") from exc
     return matrix_from_object(obj)
@@ -71,7 +77,7 @@ def format_matrix_csv(a: np.ndarray) -> str:
 def parse_matrix_csv(text: str) -> np.ndarray:
     rows: list[list[float]] = []
     width = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_text(text).splitlines(), start=1):
         if not line.strip():
             raise MatrixFormatError(f"line {lineno}: blank line inside matrix")
         parts = line.split(",")
@@ -96,7 +102,7 @@ def format_matrix_blocks_csv(mats: list[np.ndarray]) -> str:
 
 
 def parse_matrix_blocks_csv(text: str) -> list[np.ndarray]:
-    blocks = [b for b in text.split("\n\n") if b.strip()]
+    blocks = [b for b in _text(text).split("\n\n") if b.strip()]
     if not blocks:
         raise MatrixFormatError("no matrix blocks found")
     return [parse_matrix_csv(b.strip("\n") + "\n") for b in blocks]

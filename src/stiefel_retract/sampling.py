@@ -17,6 +17,13 @@ from .errors import DimensionError, DomainError, RankDeficientError, StiefelRetr
 MAX_TRIES = 1000
 
 
+def _injective_shape(m: int, d: int) -> tuple[int, int]:
+    m, d = as_integer(m, "m"), as_integer(d, "d")
+    if not 0 < d <= m:
+        raise DimensionError(f"need 0 < d <= m for an injective map, got {m}x{d}")
+    return m, d
+
+
 def generate_injective(
     rng: np.random.Generator,
     m: int,
@@ -26,9 +33,10 @@ def generate_injective(
     """Draw a validated m x d map with uniform [-1, 1] entries.
 
     Returns ``(map, resamples)``. ``max_condition`` optionally rejects draws
-    with a larger condition estimate.
+    with a larger condition estimate. A shape outside 0 < d <= m raises
+    ``DimensionError`` before any draw.
     """
-    m, d = as_integer(m, "m"), as_integer(d, "d")
+    m, d = _injective_shape(m, d)
     resamples = 0
     for _ in range(MAX_TRIES):
         raw = rng.uniform(-1.0, 1.0, size=(m, d))
@@ -65,9 +73,7 @@ def conditioned_injective(
     so the map does not depend on this package's own sweep. A shape outside
     0 < d <= m raises ``DimensionError`` before any draw.
     """
-    m, d = as_integer(m, "m"), as_integer(d, "d")
-    if not 0 < d <= m:
-        raise DimensionError(f"need 0 < d <= m for an injective map, got {m}x{d}")
+    m, d = _injective_shape(m, d)
     condition = as_real_scalar(condition, "condition")
     if not 1.0 <= condition < np.inf:
         raise DomainError(f"condition must be finite and >= 1, got {condition}")

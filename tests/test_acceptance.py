@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +38,11 @@ CRITERIA = [
 
 # One table row: status, name, seconds, detail (see selftest.format_table).
 ROW = re.compile(r"^(PASS|FAIL)  (\S+) +(\d+\.\d+)s  (.*)$")
+# Each reading in a row's detail: its bound and its margin (see selftest.judge).
+READING = re.compile(r"bound (\S+), margin (\S+) decades")
+# One criterion of the README's acceptance table: name and bound.
+README_ROW = re.compile(r"^\| `(criterion-[\w-]+)` \|.*\| (\S+) \|$", re.MULTILINE)
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +91,24 @@ def test_criterion_9_selftest_under_a_minute(selftest_run):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert elapsed < 60.0
     assert "FAIL" not in proc.stdout
+
+
+def test_every_reading_has_a_decade_of_margin(selftest_run):
+    proc, _, rows = selftest_run
+    assert rows, proc.stdout + proc.stderr
+    for name, (_, _, detail) in rows.items():
+        margins = [float(margin) for _, margin in READING.findall(detail)]
+        assert margins, f"{name} prints no margin: {detail}"
+        assert min(margins) >= 1.0, f"{name} has less than a decade of margin: {detail}"
+
+
+def test_readme_table_matches_the_registry_and_the_printed_bounds(selftest_run):
+    _, _, rows = selftest_run
+    table = README_ROW.findall(README.read_text())
+    assert [name for name, _ in table] == [name for name, _ in selftest.REGISTRY]
+    for name, bound in table:
+        printed = {float(b) for b, _ in READING.findall(rows[name][2])}
+        assert printed == {float(bound)}, f"{name}: README bound {bound}, printed {printed}"
 
 
 def _run_row(monkeypatch, name):
@@ -137,7 +161,7 @@ def test_criterion_3_fails_on_a_wrong_certificate(monkeypatch):
 
     def strict_validate(raw):
         alpha = validate(raw)
-        strict_certify(alpha.matrix)
+        strict_certify(alpha.matrix[None])
         return alpha
 
     monkeypatch.setattr(homotopy, "condition_estimates", strict_certify)

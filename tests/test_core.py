@@ -434,6 +434,17 @@ def test_conditioned_injective_rejects_a_shape_before_drawing(m, d):
     assert rng.bit_generator.state == state
 
 
+@pytest.mark.parametrize("m, d", [(3, 4), (0, 1), (3, 0), (-1, 2)])
+def test_generate_injective_rejects_a_shape_before_drawing(m, d):
+    # The same rule and message as conditioned_injective: a library error
+    # instead of numpy's "negative dimensions" ValueError, and no draw.
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(DimensionError, match=f"d <= m for an injective map, got {m}x{d}"):
+        generate_injective(rng, m, d)
+    assert rng.bit_generator.state == state
+
+
 @pytest.mark.parametrize("max_m", [0, -3])
 def test_random_dims_rejects_a_bound_below_one(max_m):
     # A library error instead of numpy's "low >= high".

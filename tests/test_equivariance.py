@@ -236,19 +236,20 @@ class TestCheckEquivariance:
             assert report.homotopy_defects[-1] == (1.0, report.frame_defect)
 
     def test_multiplies_out_no_interpolant(self, monkeypatch):
+        # interpolant is the one homotopy code that forms a coefficient matrix.
         calls = []
-        interpolate = homotopy._interpolate
+        coefficients = homotopy.coefficient_matrix
 
-        def counted(coeff, t):
-            calls.append(t)
-            return interpolate(coeff, t)
+        def counted(alpha):
+            calls.append(alpha)
+            return coefficients(alpha)
 
-        monkeypatch.setattr(homotopy, "_interpolate", counted)
+        monkeypatch.setattr(homotopy, "coefficient_matrix", counted)
         alpha, _ = generate_injective(np.random.default_rng(45), 6, 3)
         check_equivariance(alpha, random_rotation(6, seed=2))
         assert calls == []
         interpolant(alpha, 0.5)
-        assert calls == [0.5]
+        assert len(calls) == 1 and calls[0] is alpha
 
     def test_unreachable_tolerance_fails(self):
         rng = np.random.default_rng(41)

@@ -207,20 +207,21 @@ class TestStraightLineStep:
                 assert abs(point.condition_estimate - expected) <= 1e-8 * expected
 
     def test_multiplies_out_no_interpolant(self, monkeypatch):
+        # interpolant is the one homotopy code that forms a coefficient matrix.
         calls = []
-        interpolate = homotopy._interpolate
+        coefficients = homotopy.coefficient_matrix
 
-        def counted(coeff, t):
-            calls.append(t)
-            return interpolate(coeff, t)
+        def counted(alpha):
+            calls.append(alpha)
+            return coefficients(alpha)
 
-        monkeypatch.setattr(homotopy, "_interpolate", counted)
+        monkeypatch.setattr(homotopy, "coefficient_matrix", counted)
         alpha = validate_injective(HAND_INPUT)
         for t in (0.0, 0.5, 1.0):
             homotopy_step(alpha, t)
         assert calls == []
         interpolant(alpha, 0.5)
-        assert calls == [0.5]
+        assert len(calls) == 1 and calls[0] is alpha
 
     @pytest.mark.parametrize("error", [RankDeficientError, NonFiniteError])
     def test_certificate_failure_names_t(self, monkeypatch, error):

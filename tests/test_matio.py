@@ -122,3 +122,12 @@ def test_json_integer_past_the_float_range_rejected():
 def test_json_nesting_past_the_recursion_limit_rejected():
     with pytest.raises(MatrixFormatError, match="invalid JSON"):
         parse_matrix_json("[" * 100000 + "]" * 100000)
+
+
+@pytest.mark.parametrize("parse", [parse_matrix_json, parse_matrix_csv, parse_matrix_blocks_csv])
+@pytest.mark.parametrize("raw", [None, b'{"rows": 1, "cols": 1, "data": [1.0]}', 7], ids=["none", "bytes", "int"])
+def test_parsers_reject_input_that_is_not_text(parse, raw):
+    # A library error instead of the builtin TypeError or AttributeError;
+    # bytes that json.loads would decode are refused too.
+    with pytest.raises(MatrixFormatError, match=f"expected matrix text, got {type(raw).__name__}"):
+        parse(raw)
