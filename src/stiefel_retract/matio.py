@@ -15,8 +15,8 @@ import numpy as np
 from .errors import MatrixFormatError
 
 
-def _text(text) -> str:
-    if not isinstance(text, str):
+def _text(text, kinds=(str,)):
+    if not isinstance(text, kinds):
         raise MatrixFormatError(f"expected matrix text, got {type(text).__name__}")
     return text
 
@@ -62,8 +62,8 @@ def format_matrix_json(a: np.ndarray) -> str:
 
 def parse_matrix_json(text: str) -> np.ndarray:
     try:
-        obj = json.loads(_text(text))
-    except (json.JSONDecodeError, RecursionError) as exc:
+        obj = json.loads(_text(text, (str, bytes, bytearray)))
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise MatrixFormatError(f"invalid JSON: {exc}") from exc
     return matrix_from_object(obj)
 
