@@ -32,6 +32,10 @@ DEFAULT_TOL_ORTHO = 1e-10
 #: tolerances are guaranteed; beyond it results carry diagnostics instead.
 GUARANTEE_CONDITION = 1e6
 
+#: Most float entries one numpy array can hold (its byte size must fit an
+#: ``intp``). Counts that would build a larger array raise before any is built.
+MAX_ENTRIES = np.iinfo(np.intp).max // 8
+
 
 def as_real_array(raw, order: str = "K") -> np.ndarray:
     """A new float array of ``raw``'s booleans, integers or floats, the one

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
+    MAX_ENTRIES,
     InjectiveMap,
     Rotation,
     as_integer,
@@ -50,6 +51,8 @@ def random_rotation(m: int, seed: int) -> Rotation:
     m, seed = as_integer(m, "m"), as_integer(seed, "seed")
     if m < 1 or seed < 0:
         raise DomainError(f"need a positive m and a nonnegative seed, got {m} and {seed}")
+    if m * m > MAX_ENTRIES:
+        raise DomainError(f"a {m}x{m} rotation has more than {MAX_ENTRIES} entries")
     q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((m, m)))
     q *= np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
     if np.linalg.det(q) < 0.0:

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    MAX_ENTRIES,
     InjectiveMap,
     UpperTriangularPositive,
     as_integer,
@@ -46,7 +47,7 @@ from .errors import (
     ZeroVectorError,
 )
 from .gram_schmidt import _factor, coefficient_matrix
-from .matio import matrix_to_object
+from .matio import format_matrix_csv, matrix_to_object
 
 
 @dataclass(frozen=True)
@@ -128,13 +129,11 @@ def _step(alpha: InjectiveMap, end: InjectiveMap, r: np.ndarray, ts):
     # Each point is an F-contiguous (m, d) view into one stack. Filling
     # the points t by t keeps the temporaries point-sized.
     stack = np.empty((len(inner), d, m)).transpose(0, 2, 1)
-    triangles = np.empty((len(inner), d, d))
-    eye = np.eye(d)
-    for point, triangle, t in zip(stack, triangles, inner):
+    for point, t in zip(stack, inner):
         np.multiply(1.0 - t, alpha.matrix, out=point)
         point += t * end.matrix
-        np.multiply(1.0 - t, r, out=triangle)
-        triangle += t * eye
+    times = np.reshape(inner, (-1, 1, 1))
+    triangles = (1.0 - times) * r + times * np.eye(d)
     conditions = _certificates(inner, triangles) if inner else []
     stack.setflags(write=False)
     points = [
@@ -196,11 +195,15 @@ def trace_path(alpha: InjectiveMap, n: int) -> HomotopyPath:
     the least interpolant diagonal entry, (1 - t) + t / max(diag(R)), and an
     orthogonality defect: of the point at t = 0 and t = 1, and of its triangle
     in between (the point's, in exact arithmetic). ``NumericalRankLossError``
-    is raised where the sweep fails, R overflows or 1 / max(diag(R)) does.
+    is raised where the sweep fails, R overflows or 1 / max(diag(R)) does,
+    and ``DomainError`` before anything is built when n samples would hold
+    more than ``MAX_ENTRIES`` entries.
     """
     n = as_integer(n, "n")
     if n < 2:
         raise DomainError(f"need at least 2 samples, got {n}")
+    if n * alpha.matrix.size > MAX_ENTRIES:
+        raise DomainError(f"{n} samples of {alpha.matrix.size} entries hold more than {MAX_ENTRIES}")
     frame, r = _factor(alpha)
     # M's least diagonal entry, bit for bit: M_ii = 1 / r_ii and rounding is monotone.
     low = 1.0 / float(r.diagonal().max())
@@ -231,16 +234,13 @@ def path_to_csv(path: HomotopyPath) -> str:
         + [f"entry_{i}_{j}" for i in range(m) for j in range(d)]
         + ["min_diag", "ortho_defect"]
     )
-    lines = [",".join(header)]
-    for s in path.samples:
-        values = [
-            float(s.t),
-            *s.point.matrix.reshape(-1, order="C").tolist(),
-            float(s.min_interpolant_diag),
-            float(s.ortho_defect),
+    table = np.array(
+        [
+            np.hstack((s.t, s.point.matrix.reshape(-1), s.min_interpolant_diag, s.ortho_defect))
+            for s in path.samples
         ]
-        lines.append(",".join(map(repr, values)))
-    return "\n".join(lines) + "\n"
+    )
+    return ",".join(header) + "\n" + format_matrix_csv(table)
 
 
 def path_to_json_obj(path: HomotopyPath) -> list[dict]:

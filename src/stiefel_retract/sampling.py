@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import InjectiveMap, as_integer, as_matrix, as_real_scalar, rank_ratio, validate_injective
+from .core import MAX_ENTRIES, InjectiveMap, as_integer, as_matrix, as_real_scalar, rank_ratio, validate_injective
 from .errors import DimensionError, DomainError, RankDeficientError, StiefelRetractError
 
 #: Draws tried by :func:`generate_injective` before it gives up.
@@ -21,6 +21,8 @@ def _injective_shape(m: int, d: int) -> tuple[int, int]:
     m, d = as_integer(m, "m"), as_integer(d, "d")
     if not 0 < d <= m:
         raise DimensionError(f"need 0 < d <= m for an injective map, got {m}x{d}")
+    if m * d > MAX_ENTRIES:
+        raise DimensionError(f"a {m}x{d} map has more than {MAX_ENTRIES} entries")
     return m, d
 
 
@@ -32,23 +34,19 @@ def generate_injective(
 ) -> tuple[InjectiveMap, int]:
     """Draw a validated m x d map with uniform [-1, 1] entries.
 
-    Returns ``(map, resamples)``. ``max_condition`` optionally rejects draws
-    with a larger condition estimate. A shape outside 0 < d <= m raises
-    ``DimensionError`` before any draw.
+    Returns ``(map, resamples)``; a draw is kept if it validates and, when
+    given, ``max_condition`` bounds its condition estimate. A shape outside
+    0 < d <= m raises ``DimensionError`` before any draw.
     """
     m, d = _injective_shape(m, d)
-    resamples = 0
-    for _ in range(MAX_TRIES):
+    for resamples in range(MAX_TRIES):
         raw = rng.uniform(-1.0, 1.0, size=(m, d))
         try:
             alpha = validate_injective(raw)
         except RankDeficientError:
-            resamples += 1
             continue
-        if max_condition is not None and alpha.condition_estimate > max_condition:
-            resamples += 1
-            continue
-        return alpha, resamples
+        if max_condition is None or alpha.condition_estimate <= max_condition:
+            return alpha, resamples
     raise StiefelRetractError(
         f"could not generate a valid {m}x{d} matrix in {MAX_TRIES} tries"
     )
@@ -58,6 +56,8 @@ def random_dims(rng: np.random.Generator, max_m: int) -> tuple[int, int]:
     max_m = as_integer(max_m, "max_m")
     if max_m < 1:
         raise DomainError(f"max_m must be positive, got {max_m}")
+    if max_m > MAX_ENTRIES:
+        raise DomainError(f"max_m must be at most {MAX_ENTRIES}, got {max_m}")
     m = int(rng.integers(1, max_m + 1))
     d = int(rng.integers(1, m + 1))
     return m, d

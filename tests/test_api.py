@@ -1,8 +1,8 @@
 """Checks on the package surface and its source: no tolerance knob, no
 imports left behind when code is removed, private helpers shared between
 modules only where listed, one owner of the rank rule and its threshold,
-one reader of array input, triangles read in place, and acceptance criteria
-that restate no kernel."""
+one reader of array input, one writer of number text, triangles read in
+place, and acceptance criteria that restate no kernel."""
 
 import ast
 import inspect
@@ -117,6 +117,17 @@ def test_only_core_runs_a_singular_value_decomposition():
         if "svd" in _named(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert naming == ["core.py"]
+
+
+def test_only_matio_formats_numbers():
+    # matio writes numbers with repr, which round-trips exactly; a repr
+    # elsewhere would be a second writer of number text.
+    naming = [
+        path.name
+        for path in SOURCES
+        if "repr" in _named(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert naming == ["matio.py"]
 
 
 def test_only_core_and_matio_cast_to_float():

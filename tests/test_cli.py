@@ -233,6 +233,13 @@ class TestPath:
             run(["path", "--dims", "4x2", "--seed", "7", "--steps", "1"])
         assert excinfo.value.code == 2
 
+    def test_steps_past_the_largest_array_exit_2_at_once(self, capsys):
+        assert run(["path", "--dims", "4x2", "--seed", "7", "--steps", str(2**70)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
     def test_lauchli_input_inside_the_guarantee(self, tmp_path, capsys):
         # [1 ... 1; eps * I_40] with eps = sqrt(41) / 9e5, condition 8.89e5.
         src = tmp_path / "lauchli.json"

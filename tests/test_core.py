@@ -445,6 +445,28 @@ def test_generate_injective_rejects_a_shape_before_drawing(m, d):
     assert rng.bit_generator.state == state
 
 
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda rng: generate_injective(rng, 2**70, 1), DimensionError),
+        (lambda rng: conditioned_injective(rng, 2**70, 1, 10.0), DimensionError),
+        (lambda rng: random_rotation(2**70, 0), DomainError),
+        (lambda rng: random_rotation(2**40, 0), DomainError),
+        (lambda rng: random_dims(rng, 2**70), DomainError),
+    ],
+    ids=["generate", "conditioned", "rotation-dim", "rotation-size", "random-dims"],
+)
+def test_counts_past_the_largest_array_rejected_before_drawing(call, error):
+    # Library errors instead of numpy's "Maximum allowed dimension
+    # exceeded", "array is too big" and "high is out of bounds for int64",
+    # raised by arithmetic on the count, so nothing is drawn or allocated.
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(error):
+        call(rng)
+    assert rng.bit_generator.state == state
+
+
 @pytest.mark.parametrize("max_m", [0, -3])
 def test_random_dims_rejects_a_bound_below_one(max_m):
     # A library error instead of numpy's "low >= high".

@@ -687,6 +687,13 @@ class TestPathSerialization:
         assert header == "t,entry_0_0,entry_0_1,entry_1_0,entry_1_1,min_diag,ortho_defect"
 
 
+def test_trace_path_rejects_a_count_past_the_largest_array_at_once():
+    # The count is checked by arithmetic before the list of times or the
+    # stack of points is built; a list of 2**70 times would never finish.
+    with pytest.raises(DomainError, match="samples of 4 entries hold more than"):
+        trace_path(validate_injective(HAND_INPUT), 2**70)
+
+
 @pytest.mark.parametrize(
     "call, error",
     [
