@@ -12,6 +12,17 @@ twice against the frame built so far ("twice is enough": Giraud, Langou and
 Rozloznik, Numer. Math. 101, 2005), which leaves the frame orthonormal to
 working precision for every numerically nonsingular input; a single
 projection would lose orthogonality roughly like eps * condition^2.
+
+Inputs of 2^16 entries or more are swept in blocks of 16 columns: each
+block after the first is projected twice against the finished frame with
+matrix-matrix products, then each of its columns is projected twice against
+the block's own finished columns (a block form of the same sweep; see
+Barlow and Smoktunowicz, Numer. Math. 123, 2013, and Carson, Lund, Rozloznik
+and Thomas, Linear Algebra Appl. 638, 2022). The block products cut their
+inner dimension into pieces of at most 256 rows, summed in order, because
+OpenBLAS returned different bits at one and two threads for longer ones.
+Smaller inputs are one block of their whole width, which is the column
+sweep itself, bit for bit.
 """
 
 from __future__ import annotations
@@ -52,6 +63,25 @@ class GramSchmidtResult:
     triangular_factor: UpperTriangularPositive
 
 
+#: Inputs with at least this many entries are swept in blocks of
+#: ``BLOCK_WIDTH`` columns; smaller inputs are one block of their whole width.
+BLOCKED_ENTRIES = 2**16
+BLOCK_WIDTH = 16
+#: Longest inner dimension of one block product.
+PIECE_ROWS = 256
+
+
+def _pieced_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x @ y`` with the inner dimension cut into pieces of at most
+    ``PIECE_ROWS``, summed in order, so that its bits do not depend on the
+    BLAS thread count at the shapes tried (see the module docstring).
+    """
+    out = x[:, :PIECE_ROWS] @ y[:PIECE_ROWS]
+    for k in range(PIECE_ROWS, x.shape[1], PIECE_ROWS):
+        out += x[:, k : k + PIECE_ROWS] @ y[k : k + PIECE_ROWS]
+    return out
+
+
 def _sweep(a: np.ndarray):
     """Classical Gram-Schmidt on the columns of ``a``, projecting each column
     twice against the frame built so far.
@@ -62,6 +92,10 @@ def _sweep(a: np.ndarray):
     into r exactly. ``a`` itself is never written: the scaled copy is the
     working array, and each column's projections are subtracted from it in
     place.
+
+    Inputs of ``BLOCKED_ENTRIES`` entries or more are taken in blocks of
+    columns, as the module docstring describes; an input taken as one block
+    runs the column sweep alone.
     """
     _, exps = np.frexp(np.abs(a).max(axis=0))
     a = np.ldexp(a, -exps)
@@ -70,24 +104,35 @@ def _sweep(a: np.ndarray):
     floors = (DEFAULT_TOL_RANK * input_norms).tolist()
     q = np.empty((m, d), order="F")
     r = np.zeros((d, d), order="F")
-    for i in range(d):
-        w = a[:, i]
-        if i:
-            basis = q[:, :i]
-            h = w.dot(basis)
-            w -= basis.dot(h)
-            h2 = w.dot(basis)
-            w -= basis.dot(h2)
-            np.add(h, h2, r[:i, i])
-        nrm = math.sqrt(w.dot(w))
-        if nrm < floors[i]:
-            raise NumericalRankLossError(
-                f"column {i} collapsed during the sweep: residual norm is "
-                f"{nrm / input_norms[i]:.3e} of the column norm, below "
-                f"tol_rank={DEFAULT_TOL_RANK:g}"
-            )
-        r[i, i] = nrm
-        np.divide(w, nrm, q[:, i])
+    width = BLOCK_WIDTH if a.size >= BLOCKED_ENTRIES else d
+    for start in range(0, d, width):
+        stop = min(start + width, d)
+        if start:
+            block = a[:, start:stop]
+            basis = q[:, :start]
+            h = _pieced_product(basis.T, block)
+            block -= _pieced_product(basis, h)
+            h2 = _pieced_product(basis.T, block)
+            block -= _pieced_product(basis, h2)
+            np.add(h, h2, r[:start, start:stop])
+        for i in range(start, stop):
+            w = a[:, i]
+            if i > start:
+                basis = q[:, start:i]
+                h = w.dot(basis)
+                w -= basis.dot(h)
+                h2 = w.dot(basis)
+                w -= basis.dot(h2)
+                np.add(h, h2, r[start:i, i])
+            nrm = math.sqrt(w.dot(w))
+            if nrm < floors[i]:
+                raise NumericalRankLossError(
+                    f"column {i} collapsed during the sweep: residual norm is "
+                    f"{nrm / input_norms[i]:.3e} of the column norm, below "
+                    f"tol_rank={DEFAULT_TOL_RANK:g}"
+                )
+            r[i, i] = nrm
+            np.divide(w, nrm, q[:, i])
     # Adding +0.0 stores a zero coefficient of h + h2 as +0.0, never -0.0.
     r += 0.0
     # r is filled column by column, but the back substitution reads it by

@@ -124,15 +124,19 @@ def _step(alpha: InjectiveMap, end: InjectiveMap, r: np.ndarray, ts):
     all. A failure raises ``InternalRankLossError`` naming the smallest
     failing t.
     """
-    inner = [t for t in ts if 0.0 < t < 1.0]
+    ts = np.asarray(ts)
+    times = ts[(0.0 < ts) & (ts < 1.0)]
     m, d = alpha.shape
-    # Each point is an F-contiguous (m, d) view into one stack. Filling
-    # the points t by t keeps the temporaries point-sized.
-    stack = np.empty((len(inner), d, m)).transpose(0, 2, 1)
+    # Each point is an F-contiguous (m, d) view into one stack. The stack
+    # comes before any per-time Python object, so a count that does not fit
+    # fails at once. Filling the points t by t keeps the temporaries
+    # point-sized.
+    stack = np.empty((len(times), d, m)).transpose(0, 2, 1)
+    inner = times.tolist()
     for point, t in zip(stack, inner):
         np.multiply(1.0 - t, alpha.matrix, out=point)
         point += t * end.matrix
-    times = np.reshape(inner, (-1, 1, 1))
+    times = times.reshape(-1, 1, 1)
     triangles = (1.0 - times) * r + times * np.eye(d)
     conditions = _certificates(inner, triangles) if inner else []
     stack.setflags(write=False)
@@ -140,7 +144,7 @@ def _step(alpha: InjectiveMap, end: InjectiveMap, r: np.ndarray, ts):
         InjectiveMap(matrix=point, condition_estimate=condition)
         for point, condition in zip(stack, conditions)
     ]
-    return [alpha] * (ts[0] == 0.0) + points + [end] * (ts[-1] == 1.0), triangles
+    return [alpha] * bool(ts[0] == 0.0) + points + [end] * bool(ts[-1] == 1.0), triangles
 
 
 def homotopy_step(alpha: InjectiveMap, t: float) -> InjectiveMap:
@@ -211,8 +215,11 @@ def trace_path(alpha: InjectiveMap, n: int) -> HomotopyPath:
         raise NumericalRankLossError(
             "R or the diagonal of M = R^-1 lies outside the float range"
         )
-    ts = [k / (n - 1) for k in range(n)]
-    points, triangles = _step(alpha, include_frame(frame), r, ts)
+    # k / (n - 1) bit for bit, as one array: a count that does not fit in
+    # memory fails here or at the step's stack, before any per-sample object.
+    times = np.arange(n) / (n - 1)
+    points, triangles = _step(alpha, include_frame(frame), r, times)
+    ts = times.tolist()
     defects = [
         orthonormality_defect(alpha.matrix),
         *orthonormality_defect(triangles).tolist(),

@@ -478,12 +478,13 @@ def _reference_back_substitution(a: np.ndarray) -> np.ndarray:
 
 
 def _guard_family():
-    """Inputs for the bit-for-bit guard: shapes 1x1 to 64x64 and 500x40,
+    """Inputs for the bit-for-bit guard: shapes 1x1 to 64x64, 500x40 and
+    500x131 (65,500 entries, just below the blocked sweep's threshold),
     conditions 1 to 9e5, scales 2^-900 to 2^900, and exact-zero
     coefficients."""
     rng = np.random.default_rng(50)
     for m, d in ((1, 1), (2, 2), (3, 2), (7, 5), (16, 12), (24, 24), (40, 9), (64, 64),
-                 (500, 40)):
+                 (500, 40), (500, 131)):
         for condition in (1.0, 1e3, 1e5, 9e5):
             base = conditioned_injective(rng, m, d, condition).matrix
             for scale in (2.0**-900, 1.0, 2.0**900):
@@ -528,3 +529,44 @@ class TestInPlaceLoopsBitForBit:
         before = a.copy()
         gram_schmidt._sweep(a)
         assert _same_bits(a, before)
+
+
+def _lauchli(n: int, condition: float) -> np.ndarray:
+    """The (n + 1) x n Läuchli matrix: a row of ones over eps * I, with eps
+    chosen so that its condition number is ``condition``."""
+    return np.vstack([np.ones(n), math.sqrt(n) / condition * np.eye(n)])
+
+
+def _blocked_family():
+    rng = np.random.default_rng(52)
+    for m, d in ((256, 256), (2000, 100)):
+        for condition in (1.0, 1e3, 1e5, 9e5):
+            yield conditioned_injective(rng, m, d, condition).matrix, condition
+    # 301x300 also cuts the frame side of the block products into two pieces.
+    for n in (256, 300):
+        yield _lauchli(n, 9e5), 9e5
+
+
+class TestBlockedSweep:
+    """Inputs of at least ``BLOCKED_ENTRIES`` entries, swept in blocks of
+    ``BLOCK_WIDTH`` columns."""
+
+    def test_frame_residual_and_distance_to_the_column_sweep(self):
+        eps = np.finfo(float).eps
+        for raw, condition in _blocked_family():
+            alpha = validate_injective(raw)
+            assert alpha.matrix.size >= gram_schmidt.BLOCKED_ENTRIES
+            q, r = gram_schmidt._sweep(alpha.matrix)
+            assert orthonormality_defect(q) <= 1e-14
+            assert max_abs(q @ r - alpha.matrix) <= 1e3 * eps * max_abs(alpha.matrix)
+            q_ref, _ = _reference_sweep(alpha.matrix)
+            assert max_abs(q - q_ref) <= 1e3 * eps * condition
+
+    def test_collapse_inside_a_later_block_is_caught(self):
+        # Column 40 lies in a later block, so its copy of column 3 is taken
+        # out by the block projections before the collapse floor is read.
+        a = np.random.default_rng(53).standard_normal((2000, 100))
+        a[:, 40] = a[:, 3]
+        assert 40 >= gram_schmidt.BLOCK_WIDTH
+        with pytest.raises(NumericalRankLossError, match="column 40 collapsed"):
+            gram_schmidt._sweep(a)

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stiefel_retract
 from stiefel_retract import (
     DomainError,
     InternalRankLossError,
@@ -692,6 +697,36 @@ def test_trace_path_rejects_a_count_past_the_largest_array_at_once():
     # stack of points is built; a list of 2**70 times would never finish.
     with pytest.raises(DomainError, match="samples of 4 entries hold more than"):
         trace_path(validate_injective(HAND_INPUT), 2**70)
+
+
+# Caps the child's address space at 512 MB, asks for 2**40 samples of a 3x2
+# map and prints the child's peak resident set in kB once MemoryError is
+# raised.
+OVERSIZED_PATH = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
+from stiefel_retract import trace_path, validate_injective
+alpha = validate_injective([[2.0, 1.0], [0.0, 3.0], [1.0, 1.0]])
+try:
+    trace_path(alpha, 2**40)
+except MemoryError:
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_trace_path_fails_at_once_when_the_samples_do_not_fit():
+    # Under the bound on counts, but far past memory: the times and the stack
+    # of points are arrays, so the call fails before it builds any per-sample
+    # Python object, and the child never grows towards its cap.
+    package_root = str(Path(stiefel_retract.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", OVERSIZED_PATH],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert proc.stdout.strip(), f"no MemoryError: {proc.stderr}"
+    assert int(proc.stdout) < 200 * 1024
 
 
 @pytest.mark.parametrize(
