@@ -13,16 +13,24 @@ Rozloznik, Numer. Math. 101, 2005), which leaves the frame orthonormal to
 working precision for every numerically nonsingular input; a single
 projection would lose orthogonality roughly like eps * condition^2.
 
-Inputs of 2^16 entries or more are swept in blocks of 16 columns: each
-block after the first is projected twice against the finished frame with
-matrix-matrix products, then each of its columns is projected twice against
-the block's own finished columns (a block form of the same sweep; see
-Barlow and Smoktunowicz, Numer. Math. 123, 2013, and Carson, Lund, Rozloznik
-and Thomas, Linear Algebra Appl. 638, 2022). The block products cut their
-inner dimension into pieces of at most 256 rows, summed in order, because
-OpenBLAS returned different bits at one and two threads for longer ones.
-Smaller inputs are one block of their whole width, which is the column
-sweep itself, bit for bit.
+Inputs of 2^16 entries or more are swept in blocks of 16 columns by
+reorthogonalized block classical Gram-Schmidt, BCGS2 (Barlow and
+Smoktunowicz, Numer. Math. 123, 2013; Carson, Lund, Rozloznik and Thomas,
+Linear Algebra Appl. 638, 2022). Each block after the first takes two
+passes. The first projects the block once against the finished frame with
+matrix-matrix products and runs the column sweep inside it. The second
+projects the result once more, with coefficients t, and normalizes it by
+Cholesky QR of I - t^T t, its Gram matrix by the Pythagorean identity; when
+|t|^2 is below eps that factor is the identity to working precision and is
+skipped. The two passes' triangles are multiplied together into R. The
+cited analysis takes a stable local QR in both passes. The first pass's
+column sweep is one for numerically nonsingular blocks; the second pass's
+Cholesky QR relies on its input lying within about eps * condition of
+orthonormal, an argument made here, not in those papers, and checked by the
+tests. The block products cut their inner dimension into pieces of at most
+256 rows, summed in order, because OpenBLAS returned different bits at one
+and two threads for longer ones. Smaller inputs are one block of their
+whole width, which is the column sweep itself, bit for bit.
 """
 
 from __future__ import annotations
@@ -69,6 +77,7 @@ BLOCKED_ENTRIES = 2**16
 BLOCK_WIDTH = 16
 #: Longest inner dimension of one block product.
 PIECE_ROWS = 256
+_EPS = float(np.finfo(float).eps)
 
 
 def _pieced_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -80,6 +89,35 @@ def _pieced_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     for k in range(PIECE_ROWS, x.shape[1], PIECE_ROWS):
         out += x[:, k : k + PIECE_ROWS] @ y[k : k + PIECE_ROWS]
     return out
+
+
+def _column_pass(src, dst, r, norms, start):
+    """Classical Gram-Schmidt on the columns of ``src``, projecting each
+    column twice against the columns of ``dst`` built so far.
+
+    Column j is projected in place, normalized into ``dst[:, j]``, and its
+    coefficients are written to column j of the triangle ``r``. A residual
+    norm below ``DEFAULT_TOL_RANK * norms[j]`` raises
+    ``NumericalRankLossError`` naming column ``start + j`` of the input.
+    """
+    for j in range(src.shape[1]):
+        w = src[:, j]
+        if j:
+            basis = dst[:, :j]
+            h = w.dot(basis)
+            w -= basis.dot(h)
+            h2 = w.dot(basis)
+            w -= basis.dot(h2)
+            np.add(h, h2, r[:j, j])
+        nrm = math.sqrt(w.dot(w))
+        if nrm < DEFAULT_TOL_RANK * norms[j]:
+            raise NumericalRankLossError(
+                f"column {start + j} collapsed during the sweep: residual norm "
+                f"is {nrm / norms[j]:.3e} of the column norm, below "
+                f"tol_rank={DEFAULT_TOL_RANK:g}"
+            )
+        r[j, j] = nrm
+        np.divide(w, nrm, dst[:, j])
 
 
 def _sweep(a: np.ndarray):
@@ -94,45 +132,47 @@ def _sweep(a: np.ndarray):
     place.
 
     Inputs of ``BLOCKED_ENTRIES`` entries or more are taken in blocks of
-    columns, as the module docstring describes; an input taken as one block
-    runs the column sweep alone.
+    columns by BCGS2, as the module docstring describes, on a column-major
+    scaled copy; an input taken as one block runs the column sweep alone, on
+    a copy in the input's own layout, to whose bits it is pinned.
     """
+    blocked = a.size >= BLOCKED_ENTRIES
     _, exps = np.frexp(np.abs(a).max(axis=0))
-    a = np.ldexp(a, -exps)
+    a = np.ldexp(a, -exps, order="F" if blocked else "K")
     m, d = a.shape
-    input_norms = np.sqrt(np.add.reduce(a * a, axis=0))
-    floors = (DEFAULT_TOL_RANK * input_norms).tolist()
+    input_norms = np.sqrt(np.add.reduce(a * a, axis=0)).tolist()
     q = np.empty((m, d), order="F")
     r = np.zeros((d, d), order="F")
-    width = BLOCK_WIDTH if a.size >= BLOCKED_ENTRIES else d
-    for start in range(0, d, width):
+    width = BLOCK_WIDTH if blocked else d
+    _column_pass(a[:, :width], q[:, :width], r[:width, :width], input_norms[:width], 0)
+    for start in range(width, d, width):
         stop = min(start + width, d)
-        if start:
-            block = a[:, start:stop]
-            basis = q[:, :start]
-            h = _pieced_product(basis.T, block)
-            block -= _pieced_product(basis, h)
-            h2 = _pieced_product(basis.T, block)
-            block -= _pieced_product(basis, h2)
-            np.add(h, h2, r[:start, start:stop])
-        for i in range(start, stop):
-            w = a[:, i]
-            if i > start:
-                basis = q[:, start:i]
-                h = w.dot(basis)
-                w -= basis.dot(h)
-                h2 = w.dot(basis)
-                w -= basis.dot(h2)
-                np.add(h, h2, r[start:i, i])
-            nrm = math.sqrt(w.dot(w))
-            if nrm < floors[i]:
-                raise NumericalRankLossError(
-                    f"column {i} collapsed during the sweep: residual norm is "
-                    f"{nrm / input_norms[i]:.3e} of the column norm, below "
-                    f"tol_rank={DEFAULT_TOL_RANK:g}"
-                )
-            r[i, i] = nrm
-            np.divide(w, nrm, q[:, i])
+        basis = q[:, :start]
+        # First pass: project the block once against the frame, then run the
+        # column sweep inside it, into `y`. Each correction basis @ h comes
+        # out row-major; a column-major copy of it is subtracted from the
+        # column-major block in half the time.
+        block = a[:, start:stop]
+        s = _pieced_product(basis.T, block)
+        block -= np.asfortranarray(_pieced_product(basis, s))
+        y = np.empty_like(block)
+        r_first = np.zeros((stop - start, stop - start))
+        _column_pass(block, y, r_first, input_norms[start:stop], start)
+        # Second pass: project `y` once more, then normalize it by Cholesky
+        # QR. `y` was orthonormal to working precision, so now y^T y = I - t^T t
+        # within O(eps) (the Pythagorean identity), and |t| is about eps times
+        # the condition, below 1e-5 for any input the rank rule accepts. When
+        # |t|^2 is below eps, the Cholesky factor is I to working precision.
+        t = _pieced_product(basis.T, y)
+        y -= np.asfortranarray(_pieced_product(basis, t))
+        r[:start, start:stop] = s + t @ r_first
+        if np.vdot(t, t) <= _EPS:
+            q[:, start:stop] = y
+            r[start:stop, start:stop] = r_first
+        else:
+            r_second = np.linalg.cholesky(np.eye(stop - start) - t.T @ t).T
+            np.matmul(y, np.linalg.inv(r_second), q[:, start:stop])
+            r[start:stop, start:stop] = r_second @ r_first
     # Adding +0.0 stores a zero coefficient of h + h2 as +0.0, never -0.0.
     r += 0.0
     # r is filled column by column, but the back substitution reads it by

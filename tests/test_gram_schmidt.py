@@ -570,3 +570,22 @@ class TestBlockedSweep:
         assert 40 >= gram_schmidt.BLOCK_WIDTH
         with pytest.raises(NumericalRankLossError, match="column 40 collapsed"):
             gram_schmidt._sweep(a)
+
+    @pytest.mark.parametrize("weight, delta", [(0.0, 1e-4), (0.0, 1e-8), (10.0, 1e-8)])
+    def test_near_dependence_inside_a_later_block(self, weight, delta):
+        # Column 17 is column 16 plus delta times noise, and column 16 also
+        # carries `weight` times the sum of the first block's columns. Both
+        # lie in the second block, so only the in-block pass can separate
+        # them, and what the block projection left of the frame is then
+        # divided by a residual of about delta.
+        rng = np.random.default_rng(54)
+        a = rng.standard_normal((2000, 100))
+        a[:, 16] += weight * a[:, :16].sum(axis=1)
+        a[:, 17] = a[:, 16] + delta * rng.standard_normal(2000)
+        alpha = validate_injective(a)
+        result = orthonormalize(alpha)
+        q = result.frame.matrix
+        assert orthonormality_defect(q) <= 1e-14
+        eps = np.finfo(float).eps
+        r = result.triangular_factor.matrix
+        assert max_abs(q @ r - a) <= 1e3 * eps * max_abs(a)
