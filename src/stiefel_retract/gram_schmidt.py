@@ -16,21 +16,34 @@ projection would lose orthogonality roughly like eps * condition^2.
 Inputs of 2^16 entries or more are swept in blocks of 16 columns by
 reorthogonalized block classical Gram-Schmidt, BCGS2 (Barlow and
 Smoktunowicz, Numer. Math. 123, 2013; Carson, Lund, Rozloznik and Thomas,
-Linear Algebra Appl. 638, 2022). Each block after the first takes two
-passes. The first projects the block once against the finished frame with
-matrix-matrix products and runs the column sweep inside it. The second
-projects the result once more, with coefficients t, and normalizes it by
-Cholesky QR of I - t^T t, its Gram matrix by the Pythagorean identity; when
-|t|^2 is below eps that factor is the identity to working precision and is
-skipped. The two passes' triangles are multiplied together into R. The
-cited analysis takes a stable local QR in both passes. The first pass's
-column sweep is one for numerically nonsingular blocks; the second pass's
-Cholesky QR relies on its input lying within about eps * condition of
-orthonormal, an argument made here, not in those papers, and checked by the
-tests. The block products cut their inner dimension into pieces of at most
-256 rows, summed in order, because OpenBLAS returned different bits at one
-and two threads for longer ones. Smaller inputs are one block of their
-whole width, which is the column sweep itself, bit for bit.
+Linear Algebra Appl. 638, 2022), with Cholesky QR inside each block. Each
+block takes two passes. The first projects the block once against the
+finished frame with matrix-matrix products, with coefficients S, and
+factors the result as P = Y R1, R1 the Cholesky factor of P^T P. The second
+projects Y once more, with coefficients T, and factors that as Q_b R2 the
+same way. The block's column of R is S + T R1 above the diagonal and R2 R1
+on it; the first block takes both passes with no projection. Inside one
+block the two Cholesky QR passes are CholeskyQR2, orthonormal to O(eps)
+when the block's condition is below about eps^-1/2 (Yamamoto, Nakatsukasa,
+Yanagisawa and Fukaya, ETNA 44, 2015), and the BCGS2 analysis takes such a
+stable factorization inside the block. A guard keeps every block well
+inside that range: a block whose Cholesky factorization fails, whose
+kappa_F(R1) = |R1|_F |R1^-1|_F exceeds 1e3, so that eps * kappa_F^2 is
+about 2e-10, or whose R1 has a diagonal entry below 1e-10 of its input
+column's norm, falls back to the column sweep inside the once-projected
+block. That sweep also gives the collapse verdict. Its result is projected
+once more and normalized by Cholesky QR of I - t^T t, its Gram matrix by
+the Pythagorean identity, skipped when |t|^2 is below eps. Two steps are
+argued here, not in those papers. One is that the second projection may
+sit between the two Cholesky QR passes: after the guard, Y lies within
+about 2e-10 of orthonormal, so the second pass factors a matrix of
+condition 1 to working precision. The other is the fallback's Pythagorean
+step, whose input is within about eps * condition of orthonormal. Both are
+checked by the tests. The block products, the Gram matrices included, cut
+their inner dimension into pieces of at most 256 rows, summed in order,
+because OpenBLAS returned different bits at one and two threads for longer
+ones. Smaller inputs are one block of their whole width, which is the
+column sweep itself, bit for bit.
 """
 
 from __future__ import annotations
@@ -77,6 +90,10 @@ BLOCKED_ENTRIES = 2**16
 BLOCK_WIDTH = 16
 #: Longest inner dimension of one block product.
 PIECE_ROWS = 256
+#: A block whose first Cholesky factor R1 has kappa_F(R1) = |R1|_F |R1^-1|_F
+#: above this takes the column pass instead; eps * BLOCK_KAPPA_MAX^2 is
+#: about 2e-10.
+BLOCK_KAPPA_MAX = 1e3
 _EPS = float(np.finfo(float).eps)
 
 
@@ -89,6 +106,15 @@ def _pieced_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     for k in range(PIECE_ROWS, x.shape[1], PIECE_ROWS):
         out += x[:, k : k + PIECE_ROWS] @ y[k : k + PIECE_ROWS]
     return out
+
+
+def _project_out(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Subtract from ``x``, in place, its projection onto the columns of
+    ``basis``, and return the coefficients ``basis^T x``."""
+    h = _pieced_product(basis.T, x)
+    if basis.shape[1]:
+        x -= _pieced_product(basis, h)
+    return h
 
 
 def _column_pass(src, dst, r, norms, start):
@@ -120,6 +146,75 @@ def _column_pass(src, dst, r, norms, start):
         np.divide(w, nrm, dst[:, j])
 
 
+def _guarded_cholesky(p: np.ndarray, floor: np.ndarray):
+    """``(R, R^-1)`` for the upper Cholesky factor R of ``p^T p``, or None
+    when the factorization fails, kappa_F(R) exceeds ``BLOCK_KAPPA_MAX`` or
+    a diagonal entry of R lies below its entry of ``floor``."""
+    try:
+        # numpy hands p.T @ p on one buffer to syrk, slower here than gemm
+        # on a copy (81 against 48 us at 2000x16, one OpenBLAS 0.3.31 thread).
+        r = np.linalg.cholesky(_pieced_product(p.T, p.copy()), upper=True)
+    except np.linalg.LinAlgError:
+        return None
+    r_inv = np.linalg.inv(r)
+    # Written so that a NaN condition also fails the guard.
+    if not np.linalg.norm(r) * np.linalg.norm(r_inv) <= BLOCK_KAPPA_MAX:
+        return None
+    if (r.diagonal() < floor).any():
+        return None
+    return r, r_inv
+
+
+def _blocked_sweep(a, q, r, input_norms):
+    """The blocked form of ``_sweep``: each block of ``BLOCK_WIDTH``
+    columns of the row-major working copy ``a`` is orthonormalized against
+    the finished frame in ``q`` by two Cholesky QR passes, or by the column
+    pass when the guard trips, as the module docstring describes."""
+    d = a.shape[1]
+    for start in range(0, d, BLOCK_WIDTH):
+        stop = min(start + BLOCK_WIDTH, d)
+        basis = q[:, :start]
+        # Pass 1: project the block once against the frame, into p.
+        p = a[:, start:stop]
+        s = _project_out(basis, p)
+        floor = DEFAULT_TOL_RANK * input_norms[start:stop]
+        first = _guarded_cholesky(p, floor)
+        if first is not None:
+            r1, r1_inv = first
+            # Pass 2: p = y r1 with y within eps * kappa_F^2 <= 2e-10 of
+            # orthonormal; project y once more and take its Cholesky QR.
+            y = p @ r1_inv
+            t = _project_out(basis, y)
+            second = _guarded_cholesky(y, 0.0)
+            if second is not None:
+                r2, r2_inv = second
+                np.matmul(y, r2_inv, q[:, start:stop])
+                r[:start, start:stop] = s + t @ r1
+                r[start:stop, start:stop] = r2 @ r1
+                continue
+        # Fallback: the column sweep inside the projected block, on a
+        # column-major copy so that its columns are contiguous; it also
+        # gives the collapse verdict. What it returns is orthonormal to
+        # working precision, so after the second projection its Gram matrix
+        # is I - t^T t within O(eps) (the Pythagorean identity), and |t| is
+        # about eps times the condition, below 1e-5 for any input the rank
+        # rule accepts. When |t|^2 is below eps, its Cholesky factor is I to
+        # working precision.
+        y = np.empty((a.shape[0], stop - start), order="F")
+        r_first = np.zeros((stop - start, stop - start))
+        norms = input_norms[start:stop].tolist()
+        _column_pass(np.asfortranarray(p), y, r_first, norms, start)
+        t = _project_out(basis, y)
+        r[:start, start:stop] = s + t @ r_first
+        if np.vdot(t, t) <= _EPS:
+            q[:, start:stop] = y
+            r[start:stop, start:stop] = r_first
+        else:
+            r_second = np.linalg.cholesky(np.eye(stop - start) - t.T @ t).T
+            np.matmul(y, np.linalg.inv(r_second), q[:, start:stop])
+            r[start:stop, start:stop] = r_second @ r_first
+
+
 def _sweep(a: np.ndarray):
     """Classical Gram-Schmidt on the columns of ``a``, projecting each column
     twice against the frame built so far.
@@ -132,47 +227,24 @@ def _sweep(a: np.ndarray):
     place.
 
     Inputs of ``BLOCKED_ENTRIES`` entries or more are taken in blocks of
-    columns by BCGS2, as the module docstring describes, on a column-major
-    scaled copy; an input taken as one block runs the column sweep alone, on
-    a copy in the input's own layout, to whose bits it is pinned.
+    columns, as the module docstring describes, on a row-major scaled copy;
+    an input taken as one block runs the column sweep alone, on a copy in
+    the input's own layout, to whose bits it is pinned.
     """
-    blocked = a.size >= BLOCKED_ENTRIES
-    _, exps = np.frexp(np.abs(a).max(axis=0))
-    a = np.ldexp(a, -exps, order="F" if blocked else "K")
     m, d = a.shape
-    input_norms = np.sqrt(np.add.reduce(a * a, axis=0)).tolist()
     q = np.empty((m, d), order="F")
     r = np.zeros((d, d), order="F")
-    width = BLOCK_WIDTH if blocked else d
-    _column_pass(a[:, :width], q[:, :width], r[:width, :width], input_norms[:width], 0)
-    for start in range(width, d, width):
-        stop = min(start + width, d)
-        basis = q[:, :start]
-        # First pass: project the block once against the frame, then run the
-        # column sweep inside it, into `y`. Each correction basis @ h comes
-        # out row-major; a column-major copy of it is subtracted from the
-        # column-major block in half the time.
-        block = a[:, start:stop]
-        s = _pieced_product(basis.T, block)
-        block -= np.asfortranarray(_pieced_product(basis, s))
-        y = np.empty_like(block)
-        r_first = np.zeros((stop - start, stop - start))
-        _column_pass(block, y, r_first, input_norms[start:stop], start)
-        # Second pass: project `y` once more, then normalize it by Cholesky
-        # QR. `y` was orthonormal to working precision, so now y^T y = I - t^T t
-        # within O(eps) (the Pythagorean identity), and |t| is about eps times
-        # the condition, below 1e-5 for any input the rank rule accepts. When
-        # |t|^2 is below eps, the Cholesky factor is I to working precision.
-        t = _pieced_product(basis.T, y)
-        y -= np.asfortranarray(_pieced_product(basis, t))
-        r[:start, start:stop] = s + t @ r_first
-        if np.vdot(t, t) <= _EPS:
-            q[:, start:stop] = y
-            r[start:stop, start:stop] = r_first
-        else:
-            r_second = np.linalg.cholesky(np.eye(stop - start) - t.T @ t).T
-            np.matmul(y, np.linalg.inv(r_second), q[:, start:stop])
-            r[start:stop, start:stop] = r_second @ r_first
+    if a.size >= BLOCKED_ENTRIES:
+        # The same exponents and scaled copy as below, without m x d
+        # temporaries; the norms may differ in the last bits, and they feed
+        # only the collapse floor.
+        _, exps = np.frexp(np.maximum(a.max(axis=0), -a.min(axis=0)))
+        a = np.ldexp(a, -exps, order="C")
+        _blocked_sweep(a, q, r, np.sqrt(np.einsum("ij,ij->j", a, a)))
+    else:
+        _, exps = np.frexp(np.abs(a).max(axis=0))
+        a = np.ldexp(a, -exps, order="K")
+        _column_pass(a, q, r, np.sqrt(np.add.reduce(a * a, axis=0)).tolist(), 0)
     # Adding +0.0 stores a zero coefficient of h + h2 as +0.0, never -0.0.
     r += 0.0
     # r is filled column by column, but the back substitution reads it by

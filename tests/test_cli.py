@@ -482,7 +482,9 @@ class TestDeterminism:
         commands = [
             ["qr", "--dims", "256x256", "--seed", "2"],
             ["qr", "--dims", "64x64", "--seed", "9"],
+            ["qr", "--dims", "300x300", "--seed", "1"],
             ["retract", "--dims", "2000x100", "--seed", "3"],
+            ["retract", "--dims", "1000x100", "--seed", "2"],
             ["path", "--dims", "500x120", "--seed", "4", "--steps", "7"],
             ["check", "--dims", "128x64", "--batch", "3", "--seed", "5"],
         ]

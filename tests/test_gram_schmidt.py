@@ -571,17 +571,20 @@ class TestBlockedSweep:
         with pytest.raises(NumericalRankLossError, match="column 40 collapsed"):
             gram_schmidt._sweep(a)
 
+    def test_collapse_of_a_whole_later_block_is_caught(self):
+        # Every column of the third block lies within 1e-12 of the first
+        # block's span: the projected block is tiny but well conditioned, so
+        # only the collapse floor sends it to the column pass.
+        rng = np.random.default_rng(57)
+        a = rng.standard_normal((2000, 100))
+        a[:, 32:48] = a[:, :16] @ rng.standard_normal((16, 16))
+        a[:, 32:48] += 1e-12 * rng.standard_normal((2000, 16))
+        with pytest.raises(NumericalRankLossError, match="column 32 collapsed"):
+            gram_schmidt._sweep(a)
+
     @pytest.mark.parametrize("weight, delta", [(0.0, 1e-4), (0.0, 1e-8), (10.0, 1e-8)])
     def test_near_dependence_inside_a_later_block(self, weight, delta):
-        # Column 17 is column 16 plus delta times noise, and column 16 also
-        # carries `weight` times the sum of the first block's columns. Both
-        # lie in the second block, so only the in-block pass can separate
-        # them, and what the block projection left of the frame is then
-        # divided by a residual of about delta.
-        rng = np.random.default_rng(54)
-        a = rng.standard_normal((2000, 100))
-        a[:, 16] += weight * a[:, :16].sum(axis=1)
-        a[:, 17] = a[:, 16] + delta * rng.standard_normal(2000)
+        a = _near_dependent_in_block(weight, delta)
         alpha = validate_injective(a)
         result = orthonormalize(alpha)
         q = result.frame.matrix
@@ -589,3 +592,62 @@ class TestBlockedSweep:
         eps = np.finfo(float).eps
         r = result.triangular_factor.matrix
         assert max_abs(q @ r - a) <= 1e3 * eps * max_abs(a)
+
+    @pytest.mark.parametrize("m, d", [(2000, 100), (256, 256)])
+    def test_conditioned_blocks_take_no_column_pass(self, m, d, monkeypatch):
+        alpha = conditioned_injective(np.random.default_rng(55), m, d, 9e5)
+        calls = _count_column_passes(monkeypatch)
+        gram_schmidt._sweep(alpha.matrix)
+        assert calls == []
+
+    @pytest.mark.parametrize("weight, delta", [(0.0, 1e-8), (10.0, 1e-8)])
+    def test_near_dependence_inside_a_block_takes_the_column_pass(
+        self, weight, delta, monkeypatch
+    ):
+        alpha = validate_injective(_near_dependent_in_block(weight, delta))
+        calls = _count_column_passes(monkeypatch)
+        gram_schmidt._sweep(alpha.matrix)
+        assert 16 in calls
+
+    @pytest.mark.parametrize("delta", [1e-3, 1e-6])
+    def test_near_dependence_across_blocks(self, delta):
+        # Column 40 is column 3 plus delta times noise: the block projection
+        # leaves column 40 a residual of about delta, and what it left of the
+        # frame is then divided by that residual.
+        rng = np.random.default_rng(56)
+        a = rng.standard_normal((2000, 100))
+        a[:, 40] = a[:, 3] + delta * rng.standard_normal(2000)
+        assert 3 < gram_schmidt.BLOCK_WIDTH <= 40
+        result = orthonormalize(validate_injective(a))
+        q = result.frame.matrix
+        assert orthonormality_defect(q) <= 1e-14
+        eps = np.finfo(float).eps
+        r = result.triangular_factor.matrix
+        assert max_abs(q @ r - a) <= 1e3 * eps * max_abs(a)
+
+
+def _near_dependent_in_block(weight: float, delta: float) -> np.ndarray:
+    """A 2000x100 input whose column 17 is column 16 plus delta times noise,
+    where column 16 also carries ``weight`` times the sum of the first
+    block's columns. Both lie in the second block, so only the step inside
+    that block can separate them, and what the block projection left of the
+    frame is then divided by a residual of about delta."""
+    rng = np.random.default_rng(54)
+    a = rng.standard_normal((2000, 100))
+    a[:, 16] += weight * a[:, :16].sum(axis=1)
+    a[:, 17] = a[:, 16] + delta * rng.standard_normal(2000)
+    return a
+
+
+def _count_column_passes(monkeypatch) -> list[int]:
+    """Patch ``gram_schmidt._column_pass`` to record the first input column
+    of each call, and return the record."""
+    calls = []
+    column_pass = gram_schmidt._column_pass
+
+    def counted(src, dst, r, norms, start):
+        calls.append(start)
+        return column_pass(src, dst, r, norms, start)
+
+    monkeypatch.setattr(gram_schmidt, "_column_pass", counted)
+    return calls
