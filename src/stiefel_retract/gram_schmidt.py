@@ -7,43 +7,37 @@ the input columns into the frame (input @ coefficients = frame), which for
 square inputs is the inverse of the R factor of the positive-diagonal QR
 decomposition.
 
-There is one kernel: a classical Gram-Schmidt sweep that projects each column
-twice against the frame built so far ("twice is enough": Giraud, Langou and
-Rozloznik, Numer. Math. 101, 2005), which leaves the frame orthonormal to
-working precision for every numerically nonsingular input; a single
-projection would lose orthogonality roughly like eps * condition^2.
+There is one kernel, in two forms by size. Inputs below 2^16 entries run a
+classical Gram-Schmidt sweep that projects each column twice against the
+frame built so far ("twice is enough": Giraud, Langou and Rozloznik, Numer.
+Math. 101, 2005), which leaves the frame orthonormal to working precision
+for every numerically nonsingular input; a single projection would lose
+orthogonality roughly like eps * condition^2.
 
 Inputs of 2^16 entries or more are swept in blocks of 16 columns by
 reorthogonalized block classical Gram-Schmidt, BCGS2 (Barlow and
 Smoktunowicz, Numer. Math. 123, 2013; Carson, Lund, Rozloznik and Thomas,
-Linear Algebra Appl. 638, 2022), with Cholesky QR inside each block. Each
-block takes two passes. The first projects the block once against the
-finished frame with matrix-matrix products, with coefficients S, and
-factors the result as P = Y R1, R1 the Cholesky factor of P^T P. The second
-projects Y once more, with coefficients T, and factors that as Q_b R2 the
-same way. The block's column of R is S + T R1 above the diagonal and R2 R1
-on it; the first block takes both passes with no projection. Inside one
-block the two Cholesky QR passes are CholeskyQR2, orthonormal to O(eps)
-when the block's condition is below about eps^-1/2 (Yamamoto, Nakatsukasa,
-Yanagisawa and Fukaya, ETNA 44, 2015), and the BCGS2 analysis takes such a
-stable factorization inside the block. A guard keeps every block well
-inside that range: a block whose Cholesky factorization fails, whose
-kappa_F(R1) = |R1|_F |R1^-1|_F exceeds 1e3, so that eps * kappa_F^2 is
-about 2e-10, or whose R1 has a diagonal entry below 1e-10 of its input
-column's norm, falls back to the column sweep inside the once-projected
-block. That sweep also gives the collapse verdict. Its result is projected
-once more and normalized by Cholesky QR of I - t^T t, its Gram matrix by
-the Pythagorean identity, skipped when |t|^2 is below eps. Two steps are
-argued here, not in those papers. One is that the second projection may
-sit between the two Cholesky QR passes: after the guard, Y lies within
-about 2e-10 of orthonormal, so the second pass factors a matrix of
-condition 1 to working precision. The other is the fallback's Pythagorean
-step, whose input is within about eps * condition of orthonormal. Both are
-checked by the tests. The block products, the Gram matrices included, cut
-their inner dimension into pieces of at most 256 rows, summed in order,
-because OpenBLAS returned different bits at one and two threads for longer
-ones. Smaller inputs are one block of their whole width, which is the
-column sweep itself, bit for bit.
+Linear Algebra Appl. 638, 2022). Each block takes two passes. The first
+projects the block once against the finished frame with matrix-matrix
+products, with coefficients S, and factors the result as P = Y R1 by
+Cholesky QR, R1 the Cholesky factor of P^T P. A guard hands it to the column
+sweep inside the block, which gives the collapse verdict, when that
+factorization fails, when kappa_F(R1) = |R1|_F |R1^-1|_F exceeds 1e3 (eps *
+kappa_F^2 is about 2e-10) or when a diagonal entry of R1 is below 1e-10 of
+its input column's norm. The second pass, one path for every block,
+projects Y once more, with coefficients T, and factors that as Q_b R2 by
+Cholesky QR; R gets S + T R1 above the block and R2 R1 on it. After a
+Cholesky first pass the two are CholeskyQR2, orthonormal to O(eps) below a
+block condition of about eps^-1/2 (Yamamoto, Nakatsukasa, Yanagisawa and
+Fukaya, ETNA 44, 2015), the stable in-block factorization that the BCGS2
+analysis takes. One step is argued here, not in those papers, and checked
+by the tests: the second projection may sit between the two passes, since
+either first pass leaves Y within about 2e-10 of orthonormal, so the second
+factors a matrix of condition 1 to working precision; should its guard
+still trip, the sweep raises NumericalRankLossError. The block products,
+the Gram matrices included, cut their inner dimension into pieces of at
+most 256 rows, summed in order, because OpenBLAS returned different bits
+at one and two threads for longer ones.
 """
 
 from __future__ import annotations
@@ -94,7 +88,6 @@ PIECE_ROWS = 256
 #: above this takes the column pass instead; eps * BLOCK_KAPPA_MAX^2 is
 #: about 2e-10.
 BLOCK_KAPPA_MAX = 1e3
-_EPS = float(np.finfo(float).eps)
 
 
 def _pieced_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -168,56 +161,43 @@ def _guarded_cholesky(p: np.ndarray, floor: np.ndarray):
 def _blocked_sweep(a, q, r, input_norms):
     """The blocked form of ``_sweep``: each block of ``BLOCK_WIDTH``
     columns of the row-major working copy ``a`` is orthonormalized against
-    the finished frame in ``q`` by two Cholesky QR passes, or by the column
+    the finished frame in ``q`` by two passes, the first of them the column
     pass when the guard trips, as the module docstring describes."""
     d = a.shape[1]
     for start in range(0, d, BLOCK_WIDTH):
         stop = min(start + BLOCK_WIDTH, d)
+        block = slice(start, stop)
         basis = q[:, :start]
         # Pass 1: project the block once against the frame, into p.
-        p = a[:, start:stop]
+        p = a[:, block]
         s = _project_out(basis, p)
-        floor = DEFAULT_TOL_RANK * input_norms[start:stop]
+        floor = DEFAULT_TOL_RANK * input_norms[block]
         first = _guarded_cholesky(p, floor)
         if first is not None:
             r1, r1_inv = first
-            # Pass 2: p = y r1 with y within eps * kappa_F^2 <= 2e-10 of
-            # orthonormal; project y once more and take its Cholesky QR.
             y = p @ r1_inv
-            t = _project_out(basis, y)
-            second = _guarded_cholesky(y, 0.0)
-            if second is not None:
-                r2, r2_inv = second
-                np.matmul(y, r2_inv, q[:, start:stop])
-                r[:start, start:stop] = s + t @ r1
-                r[start:stop, start:stop] = r2 @ r1
-                continue
-        # Fallback: the column sweep inside the projected block, on a
-        # column-major copy so that its columns are contiguous; it also
-        # gives the collapse verdict. What it returns is orthonormal to
-        # working precision, so after the second projection its Gram matrix
-        # is I - t^T t within O(eps) (the Pythagorean identity), and |t| is
-        # about eps times the condition, below 1e-5 for any input the rank
-        # rule accepts. When |t|^2 is below eps, its Cholesky factor is I to
-        # working precision.
-        y = np.empty((a.shape[0], stop - start), order="F")
-        r_first = np.zeros((stop - start, stop - start))
-        norms = input_norms[start:stop].tolist()
-        _column_pass(np.asfortranarray(p), y, r_first, norms, start)
-        t = _project_out(basis, y)
-        r[:start, start:stop] = s + t @ r_first
-        if np.vdot(t, t) <= _EPS:
-            q[:, start:stop] = y
-            r[start:stop, start:stop] = r_first
         else:
-            r_second = np.linalg.cholesky(np.eye(stop - start) - t.T @ t).T
-            np.matmul(y, np.linalg.inv(r_second), q[:, start:stop])
-            r[start:stop, start:stop] = r_second @ r_first
+            # The column sweep inside the projected block, on a column-major
+            # copy so that its columns are contiguous; it also gives the
+            # collapse verdict.
+            y = np.empty((a.shape[0], stop - start), order="F")
+            r1 = np.zeros((stop - start, stop - start))
+            norms = input_norms[block].tolist()
+            _column_pass(np.asfortranarray(p), y, r1, norms, start)
+        # Pass 2, the same for every block: project y once more, Cholesky QR.
+        t = _project_out(basis, y)
+        second = _guarded_cholesky(y, 0.0)
+        if second is None:
+            raise NumericalRankLossError(f"second pass of the block from column {start} failed")
+        r2, r2_inv = second
+        np.matmul(y, r2_inv, q[:, block])
+        r[:start, block] = s + t @ r1
+        r[block, block] = r2 @ r1
 
 
 def _sweep(a: np.ndarray):
-    """Classical Gram-Schmidt on the columns of ``a``, projecting each column
-    twice against the frame built so far.
+    """Gram-Schmidt on the columns of ``a``: the column sweep, projecting
+    each column twice against the frame built so far, or the blocked sweep.
 
     Returns ``(q, r)`` with ``a = q @ r``, q column-major and r upper
     triangular and row-major. Columns are first scaled by exact powers of
@@ -227,9 +207,10 @@ def _sweep(a: np.ndarray):
     place.
 
     Inputs of ``BLOCKED_ENTRIES`` entries or more are taken in blocks of
-    columns, as the module docstring describes, on a row-major scaled copy;
-    an input taken as one block runs the column sweep alone, on a copy in
-    the input's own layout, to whose bits it is pinned.
+    ``BLOCK_WIDTH`` columns on a row-major scaled copy, each by a first
+    pass, Cholesky QR or the column pass, and a Cholesky QR second pass, as
+    the module docstring describes. Smaller inputs run the column sweep
+    alone, on a copy in the input's own layout, to whose bits they are pinned.
     """
     m, d = a.shape
     q = np.empty((m, d), order="F")

@@ -36,9 +36,12 @@ def generate_injective(
 
     Returns ``(map, resamples)``; a draw is kept if it validates and, when
     given, ``max_condition`` bounds its condition estimate. A shape outside
-    0 < d <= m raises ``DimensionError`` before any draw.
+    0 < d <= m, or a ``max_condition`` that is not a single real number,
+    raises a library error before any draw.
     """
     m, d = _injective_shape(m, d)
+    if max_condition is not None:
+        max_condition = as_real_scalar(max_condition, "max_condition")
     for resamples in range(MAX_TRIES):
         raw = rng.uniform(-1.0, 1.0, size=(m, d))
         try:

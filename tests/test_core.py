@@ -423,6 +423,21 @@ def test_sampling_reads_counts_as_integers(draw, error):
         draw(np.random.default_rng(0))
 
 
+@pytest.mark.parametrize(
+    "max_condition, error",
+    [("x", MatrixFormatError), ([1.0, 2.0], DomainError), (1 + 2j, MatrixFormatError)],
+    ids=["text", "list", "complex"],
+)
+def test_generate_injective_reads_max_condition_before_drawing(max_condition, error):
+    # Library errors instead of the builtin TypeError from comparing a
+    # condition estimate with the bound, and raised before the first draw.
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(error):
+        generate_injective(rng, 3, 2, max_condition=max_condition)
+    assert rng.bit_generator.state == state
+
+
 @pytest.mark.parametrize("m, d", [(3, 4), (0, 1), (3, 0), (-1, -2)])
 def test_conditioned_injective_rejects_a_shape_before_drawing(m, d):
     # A library error instead of numpy's matmul or shape ValueError, and the

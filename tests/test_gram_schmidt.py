@@ -547,6 +547,16 @@ def _blocked_family():
         yield _lauchli(n, 9e5), 9e5
 
 
+# Square inputs to the near-dependence tests. Weight 10 would make them rank
+# deficient, so they take weight 0 only; at 301x300 the Gram product of a
+# block is cut into two pieces.
+_SQUARE_NEAR_DEPENDENT = [
+    pytest.param(256, 256, 0.0, 1e-4, id="256x256-0.0-0.0001"),
+    pytest.param(256, 256, 0.0, 1e-8, id="256x256-0.0-1e-08"),
+    pytest.param(301, 300, 0.0, 1e-4, id="301x300-0.0-0.0001"),
+]
+
+
 class TestBlockedSweep:
     """Inputs of at least ``BLOCKED_ENTRIES`` entries, swept in blocks of
     ``BLOCK_WIDTH`` columns."""
@@ -582,9 +592,17 @@ class TestBlockedSweep:
         with pytest.raises(NumericalRankLossError, match="column 32 collapsed"):
             gram_schmidt._sweep(a)
 
-    @pytest.mark.parametrize("weight, delta", [(0.0, 1e-4), (0.0, 1e-8), (10.0, 1e-8)])
-    def test_near_dependence_inside_a_later_block(self, weight, delta):
-        a = _near_dependent_in_block(weight, delta)
+    @pytest.mark.parametrize(
+        "m, d, weight, delta",
+        [
+            pytest.param(2000, 100, 0.0, 1e-4, id="0.0-0.0001"),
+            pytest.param(2000, 100, 0.0, 1e-8, id="0.0-1e-08"),
+            pytest.param(2000, 100, 10.0, 1e-8, id="10.0-1e-08"),
+            *_SQUARE_NEAR_DEPENDENT,
+        ],
+    )
+    def test_near_dependence_inside_a_later_block(self, m, d, weight, delta):
+        a = _near_dependent_in_block(m, d, weight, delta)
         alpha = validate_injective(a)
         result = orthonormalize(alpha)
         q = result.frame.matrix
@@ -600,11 +618,18 @@ class TestBlockedSweep:
         gram_schmidt._sweep(alpha.matrix)
         assert calls == []
 
-    @pytest.mark.parametrize("weight, delta", [(0.0, 1e-8), (10.0, 1e-8)])
+    @pytest.mark.parametrize(
+        "m, d, weight, delta",
+        [
+            pytest.param(2000, 100, 0.0, 1e-8, id="0.0-1e-08"),
+            pytest.param(2000, 100, 10.0, 1e-8, id="10.0-1e-08"),
+            *_SQUARE_NEAR_DEPENDENT,
+        ],
+    )
     def test_near_dependence_inside_a_block_takes_the_column_pass(
-        self, weight, delta, monkeypatch
+        self, m, d, weight, delta, monkeypatch
     ):
-        alpha = validate_injective(_near_dependent_in_block(weight, delta))
+        alpha = validate_injective(_near_dependent_in_block(m, d, weight, delta))
         calls = _count_column_passes(monkeypatch)
         gram_schmidt._sweep(alpha.matrix)
         assert 16 in calls
@@ -625,17 +650,31 @@ class TestBlockedSweep:
         r = result.triangular_factor.matrix
         assert max_abs(q @ r - a) <= 1e3 * eps * max_abs(a)
 
+    def test_a_failed_second_pass_raises_a_rank_loss_error(self, monkeypatch):
+        # The second pass factors a block within about 2e-10 of orthonormal,
+        # so its guard trips on no input tried; if it did, the sweep would
+        # raise the library's error, not numpy's or an unpacking error.
+        guarded_cholesky = gram_schmidt._guarded_cholesky
 
-def _near_dependent_in_block(weight: float, delta: float) -> np.ndarray:
-    """A 2000x100 input whose column 17 is column 16 plus delta times noise,
+        def failing_second_pass(p, floor):
+            return None if np.ndim(floor) == 0 else guarded_cholesky(p, floor)
+
+        monkeypatch.setattr(gram_schmidt, "_guarded_cholesky", failing_second_pass)
+        a = np.random.default_rng(58).standard_normal((2000, 100))
+        with pytest.raises(NumericalRankLossError, match="column 0 "):
+            gram_schmidt._sweep(a)
+
+
+def _near_dependent_in_block(m: int, d: int, weight: float, delta: float) -> np.ndarray:
+    """An m x d input whose column 17 is column 16 plus delta times noise,
     where column 16 also carries ``weight`` times the sum of the first
     block's columns. Both lie in the second block, so only the step inside
     that block can separate them, and what the block projection left of the
     frame is then divided by a residual of about delta."""
     rng = np.random.default_rng(54)
-    a = rng.standard_normal((2000, 100))
+    a = rng.standard_normal((m, d))
     a[:, 16] += weight * a[:, :16].sum(axis=1)
-    a[:, 17] = a[:, 16] + delta * rng.standard_normal(2000)
+    a[:, 17] = a[:, 16] + delta * rng.standard_normal(m)
     return a
 
 
