@@ -245,7 +245,7 @@ def main(argv=None) -> int:
     except DimensionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SHAPE
-    except (StiefelRetractError, OSError) as exc:
+    except (StiefelRetractError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -194,14 +194,16 @@ class UpperTriangularPositive:
         return self.matrix.copy()
 
 
-def rank_ratio(largest: float, smallest: float) -> float:
+def rank_ratio(largest: float, smallest: float, index: int = 0) -> float:
     """The rank rule, for :func:`condition_estimates` and
     ``sampling.conditioned_injective``: ``largest / smallest`` if ``smallest``
-    exceeds ``DEFAULT_TOL_RANK * largest``, else ``RankDeficientError``."""
+    exceeds ``DEFAULT_TOL_RANK * largest``, else ``RankDeficientError``
+    carrying ``index``, the matrix's position in its stack."""
     if smallest <= DEFAULT_TOL_RANK * largest:
         raise RankDeficientError(
             f"columns are not independent at tol_rank={DEFAULT_TOL_RANK:g}: "
-            f"singular-value ratio {smallest / largest if largest else 0.0:.3e}"
+            f"singular-value ratio {smallest / largest if largest else 0.0:.3e}",
+            index=index,
         )
     return largest / smallest
 
@@ -210,8 +212,9 @@ def condition_estimates(a: np.ndarray) -> list[float]:
     """Largest-to-smallest singular-value ratio of each finite matrix of a
     stack ``(n, m, d)``, from one SVD call.
 
-    Each row passes :func:`rank_ratio`, which raises for the first matrix of
-    the stack that fails the rank rule.
+    Each row passes :func:`rank_ratio`, in order, so the first matrix of the
+    stack that fails the rank rule raises, with its position as the error's
+    ``index``.
     """
     sv = np.linalg.svd(a, compute_uv=False)
     conditions = []
@@ -222,7 +225,7 @@ def condition_estimates(a: np.ndarray) -> list[float]:
             block = a[k]
             scaled = np.ldexp(block, -math.frexp(max_abs(block))[1])
             row = np.linalg.svd(scaled, compute_uv=False).tolist()
-        conditions.append(rank_ratio(row[0], row[-1]))
+        conditions.append(rank_ratio(row[0], row[-1], k))
     return conditions
 
 

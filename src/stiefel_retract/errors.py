@@ -20,7 +20,12 @@ class DimensionError(StiefelRetractError):
 
 
 class RankDeficientError(StiefelRetractError):
-    """Columns failed the linear-independence test at validation time."""
+    """Columns failed the linear-independence test at validation time;
+    ``index`` is the failing matrix's position in a checked stack (0 for one)."""
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
 
 
 class NumericalRankLossError(StiefelRetractError):
@@ -33,7 +38,7 @@ class NumericalRankLossError(StiefelRetractError):
 
 
 class InternalRankLossError(StiefelRetractError):
-    """Revalidation of a computed intermediate failed; signals numerical
+    """A homotopy point failed its rank certificate; signals numerical
     breakdown that should not occur for well-conditioned inputs."""
 
 

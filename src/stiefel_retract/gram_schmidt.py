@@ -79,7 +79,7 @@ class GramSchmidtResult:
 
 
 #: Inputs with at least this many entries are swept in blocks of
-#: ``BLOCK_WIDTH`` columns; smaller inputs are one block of their whole width.
+#: ``BLOCK_WIDTH`` columns; smaller inputs run the column sweep.
 BLOCKED_ENTRIES = 2**16
 BLOCK_WIDTH = 16
 #: Longest inner dimension of one block product.

@@ -36,7 +36,6 @@ from .core import (
     include_frame,
     max_abs,
     orthonormality_defect,
-    validate_injective,
 )
 from .errors import (
     DomainError,
@@ -85,31 +84,6 @@ def interpolant(alpha: InjectiveMap, t: float) -> UpperTriangularPositive:
     return UpperTriangularPositive.from_dense((1.0 - t) * np.eye(len(coeff)) + t * coeff)
 
 
-def _certificates(inner, triangles: np.ndarray) -> list[float]:
-    """Condition estimates of the homotopy points at the times ``inner``, from
-    one call of the rank rule on the stack of their triangles.
-
-    The points need no check of their own: each is (1 - t) * alpha + t * Q
-    with alpha validated and Q a frame, so it is finite. A failure raises
-    ``InternalRankLossError`` naming the smallest failing t (``inner`` is
-    ascending), with the error that its triangle gives on its own.
-    """
-    try:
-        if not np.isfinite(triangles).all():
-            raise NonFiniteError("a homotopy triangle is not finite")
-        return condition_estimates(triangles)
-    except (RankDeficientError, NonFiniteError):
-        # Revalidating t by t finds the first failure.
-        for t, triangle in zip(inner, triangles):
-            try:
-                validate_injective(triangle)
-            except (RankDeficientError, NonFiniteError) as exc:
-                raise InternalRankLossError(
-                    f"homotopy point at t={t:g} failed revalidation: {exc}"
-                ) from exc
-        raise
-
-
 def _step(alpha: InjectiveMap, end: InjectiveMap, r: np.ndarray, ts):
     """The homotopy points (1 - t) * alpha + t * end for the times ``ts``,
     ascending without repeats in [0, 1], where ``end`` is alpha's frame Q and
@@ -118,11 +92,14 @@ def _step(alpha: InjectiveMap, end: InjectiveMap, r: np.ndarray, ts):
     Returns the points in the order of ``ts``, and the stack of the d x d
     triangles (1 - t) * R + t * I of the times strictly inside (0, 1). Both
     endpoints are returned as they are. The points in between are read-only
-    views into one stack, however many there are. Each equals
-    Q @ ((1 - t) * R + t * I), so its triangle certifies it (rank and
-    condition estimate), and one batched SVD of the triangles certifies them
-    all. A failure raises ``InternalRankLossError`` naming the smallest
-    failing t.
+    views into one stack, however many there are. Each is
+    (1 - t) * alpha + t * Q, finite since alpha is validated and Q a frame,
+    and equals Q @ ((1 - t) * R + t * I), so its triangle certifies it (rank
+    and condition estimate), and one batched SVD of the triangles certifies
+    them all. The triangles are finite exactly when R is, so R is checked
+    once. A failure raises ``InternalRankLossError`` naming the smallest
+    failing t (the first, for a non-finite R), with the error that its
+    triangle gives on its own.
     """
     ts = np.asarray(ts)
     times = ts[(0.0 < ts) & (ts < 1.0)]
@@ -138,7 +115,17 @@ def _step(alpha: InjectiveMap, end: InjectiveMap, r: np.ndarray, ts):
         point += t * end.matrix
     times = times.reshape(-1, 1, 1)
     triangles = (1.0 - times) * r + times * np.eye(d)
-    conditions = _certificates(inner, triangles) if inner else []
+    conditions = []
+    if inner:
+        try:
+            if not np.isfinite(r).all():
+                raise NonFiniteError("matrix contains NaN or infinite entries")
+            conditions = condition_estimates(triangles)
+        except (RankDeficientError, NonFiniteError) as exc:
+            t = inner[getattr(exc, "index", 0)]
+            raise InternalRankLossError(
+                f"homotopy point at t={t:g} failed revalidation: {exc}"
+            ) from exc
     stack.setflags(write=False)
     points = [
         InjectiveMap(matrix=point, condition_estimate=condition)

@@ -151,7 +151,7 @@ def test_criterion_3_fails_on_a_wrong_certificate(monkeypatch):
     # Step certificates with rank threshold 0.5, that is condition 2, reject
     # points that are injective; the row reads trace_path's certificates, so
     # it must fail.
-    certify, validate = homotopy.condition_estimates, homotopy.validate_injective
+    certify = homotopy.condition_estimates
 
     def strict_certify(a):
         conditions = certify(a)
@@ -159,13 +159,7 @@ def test_criterion_3_fails_on_a_wrong_certificate(monkeypatch):
             raise RankDeficientError("singular-value ratio at or below 0.5")
         return conditions
 
-    def strict_validate(raw):
-        alpha = validate(raw)
-        strict_certify(alpha.matrix[None])
-        return alpha
-
     monkeypatch.setattr(homotopy, "condition_estimates", strict_certify)
-    monkeypatch.setattr(homotopy, "validate_injective", strict_validate)
     result = _run_row(monkeypatch, "criterion-3-rank-along-path")
     assert not result.passed, result.detail
 

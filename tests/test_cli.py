@@ -168,6 +168,42 @@ class TestQr:
         assert np.array_equal(blocks[1], r.to_dense())
 
 
+# Caps the child's address space at 512 MB, then runs the CLI on the
+# arguments that follow the script.
+CAPPED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
+from stiefel_retract import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["path", "--dims", "3x2", "--seed", "1", "--steps", str(2**40)],
+        ["retract", "--dims", "100000x100000", "--seed", "1"],
+    ],
+    ids=["path-steps", "retract-dims"],
+)
+def test_counts_that_do_not_fit_in_memory_exit_2(argv):
+    # Under the bound on counts, but far past memory: the child's address
+    # space is capped, so the allocation fails at once instead of filling
+    # the machine.
+    package_root = str(Path(stiefel_retract.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_CLI, *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 class TestPath:
     def test_orthonormal_constant_rows(self, tmp_path, capsys):
         src = tmp_path / "eye.csv"
@@ -366,6 +402,7 @@ EXIT_CODES = {
     errors.NumericalRankLossError: 3,
     errors.InternalRankLossError: 3,
     errors.DimensionError: 4,
+    MemoryError: 2,
 }
 
 
@@ -485,6 +522,9 @@ class TestDeterminism:
             ["qr", "--dims", "300x300", "--seed", "1"],
             ["retract", "--dims", "2000x100", "--seed", "3"],
             ["retract", "--dims", "1000x100", "--seed", "2"],
+            # Narrow and very tall: blocks that take the guard's column pass.
+            ["retract", "--dims", "20000x8", "--seed", "5"],
+            ["retract", "--dims", "8192x16", "--seed", "5"],
             ["path", "--dims", "500x120", "--seed", "4", "--steps", "7"],
             ["check", "--dims", "128x64", "--batch", "3", "--seed", "5"],
         ]

@@ -545,6 +545,11 @@ def _blocked_family():
     # 301x300 also cuts the frame side of the block products into two pieces.
     for n in (256, 300):
         yield _lauchli(n, 9e5), 9e5
+    # Narrow inputs, where one or two blocks take the guard's column pass at
+    # most of these conditions.
+    for m, d in ((8192, 16), (4000, 20), (2100, 32), (20000, 8)):
+        for condition in (1e3, 1e5, 9e5):
+            yield conditioned_injective(rng, m, d, condition).matrix, condition
 
 
 # Square inputs to the near-dependence tests. Weight 10 would make them rank
