@@ -6,7 +6,7 @@ and ``selftest`` (the acceptance criteria). Matrices are read and written in
 the shared JSON/CSV formats with round-trip-exact numbers.
 
 Exit codes: 0 success, 1 property failure, 2 parse error, 3 rank failure,
-4 shape mismatch.
+4 shape mismatch, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -46,6 +47,8 @@ EXIT_PROPERTY = 1
 EXIT_PARSE = 2
 EXIT_RANK = 3
 EXIT_SHAPE = 4
+#: What a shell reports for a process stopped by SIGPIPE.
+EXIT_PIPE = 141
 
 
 def _parse_dims(text: str) -> tuple[int, int]:
@@ -238,7 +241,14 @@ DISPATCH = {
 def main(argv=None) -> int:
     cfg = parse_config(argv)
     try:
-        return DISPATCH[cfg.subcommand](cfg)
+        code = DISPATCH[cfg.subcommand](cfg)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout. Stop quietly, with stdout on devnull so
+        # that the interpreter's last flush does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (RankDeficientError, NumericalRankLossError, InternalRankLossError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RANK

@@ -122,6 +122,20 @@ class InjectiveMap:
     matrix: np.ndarray
     condition_estimate: float
 
+    @classmethod
+    def lazy(cls, matrix: np.ndarray, estimate) -> "InjectiveMap":
+        """A map whose ``condition_estimate`` is ``estimate()``, kept from its first read."""
+        point = object.__new__(cls)
+        point.__dict__.update(matrix=matrix, _estimate=estimate)
+        return point
+
+    def __getattr__(self, name):
+        # Reached for a lazy map's estimate until its first read.
+        if name != "condition_estimate" or "_estimate" not in self.__dict__:
+            raise AttributeError(name)
+        self.__dict__[name] = value = self._estimate()
+        return value
+
     @property
     def shape(self) -> tuple[int, int]:
         return self.matrix.shape

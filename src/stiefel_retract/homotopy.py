@@ -9,19 +9,21 @@ at t = 1 it lands on the Gram-Schmidt frame.
 Since alpha @ M = Q, the point at time t is (1 - t) * alpha + t * Q, and with
 R = M^-1 it equals Q @ ((1 - t) * R + t * I): a thin QR factorization whose
 d x d triangle has diagonal (1 - t) * r_ii + t > 0. The point's singular
-values are that triangle's, so points are certified with d x d SVDs rather
-than m x d ones. One step rule, ``_step``, forms every point from an
-endpoint, R and a sequence of times; the points in between are one stack,
-certified by one batched SVD of their triangles. ``homotopy_step``,
-``trace_path`` and ``check_equivariance`` all pass the sweep's frame and R,
-so every t = 1 point is the frame bit for bit; none of them forms M, whose
-diagonal is 1 / diag(R).
+values are that triangle's, so points are certified from d x d triangles
+rather than m x d points. One step rule, ``_step``, forms every point from
+an endpoint, R and a sequence of times; the points in between are one stack,
+certified by one eigenvalue bound on R, sigma_min >= t + (1 - t) *
+lambda_min((R + R^T) / 2), and one batched SVD of the triangles it misses.
+``homotopy_step``, ``trace_path`` and ``check_equivariance`` all pass the
+sweep's frame and R, so every t = 1 point is the frame bit for bit; none of
+them forms M, whose diagonal is 1 / diag(R).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -84,6 +86,32 @@ def interpolant(alpha: InjectiveMap, t: float) -> UpperTriangularPositive:
     return UpperTriangularPositive.from_dense((1.0 - t) * np.eye(len(coeff)) + t * coeff)
 
 
+def _sigma_bounds(r: np.ndarray, times: np.ndarray):
+    """Bounds on the least and largest singular values of the triangles
+    T = (1 - t) * R + t * I of ``times``, from one eigensolve:
+    sigma_min(T) >= t + (1 - t) * nu, nu = lambda_min((R + R^T) / 2) (Horn
+    and Johnson, Topics in Matrix Analysis, ch. 1), and
+    sigma_max(T) <= high = (1 - t) |R|_F + t.
+
+    The lower bound loses 8 d eps * high. By Weyl's inequality that covers
+    the rounding of (R + R^T) / 2 (eps |R|_F) and of T
+    (3 eps (1 - t) |R|_F + eps t), the eigensolver's backward error
+    (LAPACK's p(d) eps |R|_2, p modest) and the SVD's, so the bound stays
+    below the sigma_min that ``condition_estimates`` computes. A norm past
+    the float range (max|R| above about 1e154) makes the lower bound -inf.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        nu = np.linalg.eigvalsh(0.5 * r + 0.5 * r.T)[0]
+        high = (1.0 - times) * np.linalg.norm(r) + times
+        low = times + (1.0 - times) * nu - 8 * len(r) * np.finfo(float).eps * high
+    return low, high
+
+
+def _condition_at(r: np.ndarray, t: float) -> float:
+    """The condition estimate of (1 - t) * R + t * I, with the stack's bits."""
+    return condition_estimates(((1.0 - t) * r + t * np.eye(len(r)))[None])[0]
+
+
 def _step(alpha: InjectiveMap, end: InjectiveMap, r: np.ndarray, ts):
     """The homotopy points (1 - t) * alpha + t * end for the times ``ts``,
     ascending without repeats in [0, 1], where ``end`` is alpha's frame Q and
@@ -95,11 +123,14 @@ def _step(alpha: InjectiveMap, end: InjectiveMap, r: np.ndarray, ts):
     views into one stack, however many there are. Each is
     (1 - t) * alpha + t * Q, finite since alpha is validated and Q a frame,
     and equals Q @ ((1 - t) * R + t * I), so its triangle certifies it (rank
-    and condition estimate), and one batched SVD of the triangles certifies
-    them all. The triangles are finite exactly when R is, so R is checked
-    once. A failure raises ``InternalRankLossError`` naming the smallest
-    failing t (the first, for a non-finite R), with the error that its
-    triangle gives on its own.
+    and condition estimate). The triangles are finite exactly when R is, so
+    R is checked once. Of two or more triangles, those whose
+    :func:`_sigma_bounds` lie within eight decades are certified by them,
+    and each such point computes its estimate from R and t when it is first
+    read; the others, and a lone time, go through one batched SVD. A failure
+    raises ``InternalRankLossError`` naming the smallest failing t (the
+    first, for a non-finite R), with the error that its triangle gives on
+    its own.
     """
     ts = np.asarray(ts)
     times = ts[(0.0 < ts) & (ts < 1.0)]
@@ -113,23 +144,33 @@ def _step(alpha: InjectiveMap, end: InjectiveMap, r: np.ndarray, ts):
     for point, t in zip(stack, inner):
         np.multiply(1.0 - t, alpha.matrix, out=point)
         point += t * end.matrix
-    times = times.reshape(-1, 1, 1)
-    triangles = (1.0 - times) * r + times * np.eye(d)
-    conditions = []
+    column = times.reshape(-1, 1, 1)
+    triangles = (1.0 - column) * r + column * np.eye(d)
+    certified = [False] * len(inner)
+    late = range(len(inner))
+    checked = triangles
     if inner:
         try:
             if not np.isfinite(r).all():
                 raise NonFiniteError("matrix contains NaN or infinite entries")
-            conditions = condition_estimates(triangles)
+            if len(inner) > 1:
+                # Two decades above the rank rule: what passes, the SVD would pass.
+                low, high = _sigma_bounds(r, times)
+                certified = (low > 1e-8 * high).tolist()
+                late = [k for k, bounded in enumerate(certified) if not bounded]
+                checked = triangles[late]
+            conditions = iter(condition_estimates(checked) if late else ())
         except (RankDeficientError, NonFiniteError) as exc:
-            t = inner[getattr(exc, "index", 0)]
+            t = inner[late[getattr(exc, "index", 0)]]
             raise InternalRankLossError(
                 f"homotopy point at t={t:g} failed revalidation: {exc}"
             ) from exc
     stack.setflags(write=False)
     points = [
-        InjectiveMap(matrix=point, condition_estimate=condition)
-        for point, condition in zip(stack, conditions)
+        InjectiveMap.lazy(point, partial(_condition_at, r, t))
+        if bounded
+        else InjectiveMap(matrix=point, condition_estimate=next(conditions))
+        for point, t, bounded in zip(stack, inner, certified)
     ]
     return [alpha] * bool(ts[0] == 0.0) + points + [end] * bool(ts[-1] == 1.0), triangles
 

@@ -150,7 +150,8 @@ def test_criterion_2_fails_on_a_perturbed_frame(monkeypatch):
 def test_criterion_3_fails_on_a_wrong_certificate(monkeypatch):
     # Step certificates with rank threshold 0.5, that is condition 2, reject
     # points that are injective; the row reads trace_path's certificates, so
-    # it must fail.
+    # it must fail. The eigenvalue bound is made to certify nothing, so every
+    # interior sample goes through these certificates.
     certify = homotopy.condition_estimates
 
     def strict_certify(a):
@@ -159,6 +160,7 @@ def test_criterion_3_fails_on_a_wrong_certificate(monkeypatch):
             raise RankDeficientError("singular-value ratio at or below 0.5")
         return conditions
 
+    monkeypatch.setattr(homotopy, "_sigma_bounds", lambda r, times: (0.0 * times, 1.0 + times))
     monkeypatch.setattr(homotopy, "condition_estimates", strict_certify)
     result = _run_row(monkeypatch, "criterion-3-rank-along-path")
     assert not result.passed, result.detail

@@ -424,6 +424,27 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: boom\n")
 
+    def test_closed_stdout_exits_quietly(self):
+        # `path ... | head -c 100`: the reader leaves long before the output
+        # ends. Unbuffered stdout drops a short write silently, so the child
+        # runs with the default buffered stdout, as the console script does.
+        package_root = str(Path(stiefel_retract.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        argv = ["path", "--dims", "256x64", "--seed", "1", "--steps", "33"]
+        writer = subprocess.Popen(
+            [sys.executable, "-m", "stiefel_retract.cli", *argv],
+            env={**env, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        reader = subprocess.Popen(["head", "-c", "100"], stdin=writer.stdout, stdout=subprocess.PIPE)
+        writer.stdout.close()
+        head, _ = reader.communicate(timeout=120)
+        stderr = writer.stderr.read()
+        writer.stderr.close()
+        assert len(head) == 100
+        assert (writer.wait(timeout=120), stderr) == (cli.EXIT_PIPE, b"")
+
 
 class TestConfigValidation:
     def test_dims_without_seed_rejected(self):
@@ -526,6 +547,9 @@ class TestDeterminism:
             ["retract", "--dims", "20000x8", "--seed", "5"],
             ["retract", "--dims", "8192x16", "--seed", "5"],
             ["path", "--dims", "500x120", "--seed", "4", "--steps", "7"],
+            # The step's eigenvalue bound decides which samples take the SVD;
+            # the output must not depend on that choice.
+            ["path", "--dims", "256x64", "--seed", "5", "--steps", "33"],
             ["check", "--dims", "128x64", "--batch", "3", "--seed", "5"],
         ]
         package_root = str(Path(stiefel_retract.__file__).resolve().parents[1])

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -30,7 +31,8 @@ from stiefel_retract import (
     validate_injective,
 )
 from stiefel_retract import homotopy
-from stiefel_retract.core import max_abs, orthonormality_defect
+from stiefel_retract.core import InjectiveMap, condition_estimates, max_abs, orthonormality_defect
+from stiefel_retract.equivariance import act
 from stiefel_retract.homotopy import path_to_csv, path_to_json_obj
 from stiefel_retract.matio import MatrixFormatError, matrix_from_object
 from stiefel_retract.sampling import (
@@ -50,6 +52,12 @@ def _refuse_certificates(monkeypatch, error):
         raise error("injected")
 
     monkeypatch.setattr(homotopy, "condition_estimates", refuse)
+
+
+def _decline_bound(monkeypatch):
+    """Make the step's eigenvalue bound certify nothing (a lower bound of
+    0), so every interior triangle goes through ``condition_estimates``."""
+    monkeypatch.setattr(homotopy, "_sigma_bounds", lambda r, times: (0.0 * times, 1.0 + times))
 
 
 def parse_path_csv(text: str) -> list[dict]:
@@ -467,6 +475,7 @@ class TestStraightLinePath:
     @pytest.mark.parametrize("error", [RankDeficientError])
     def test_certificate_failure_names_t(self, monkeypatch, error):
         alpha = validate_injective(HAND_INPUT)
+        _decline_bound(monkeypatch)
         _refuse_certificates(monkeypatch, error)
         with pytest.raises(InternalRankLossError, match=r"t=0\.5 failed revalidation: injected"):
             trace_path(alpha, 3)
@@ -480,6 +489,7 @@ class TestStraightLinePath:
             return step(alpha, end, r, ts)
 
         monkeypatch.setattr(homotopy, "_step", counted)
+        _decline_bound(monkeypatch)
         alpha = validate_injective(HAND_INPUT)
         for n in (2, 3, 11):
             calls.clear()
@@ -602,6 +612,7 @@ class TestStackedStep:
             assert max(s.ortho_defect for s in path.samples[1:-1]) <= 1e-12
 
     def test_path_names_the_smaller_of_two_failing_times(self, monkeypatch):
+        _decline_bound(monkeypatch)
         alpha = conditioned_injective(np.random.default_rng(52), 9, 4, 1e3)
         _, r, _ = _per_t_reference(alpha)
         _refuse_triangles_of(monkeypatch, r, (0.75, 0.5))
@@ -610,6 +621,7 @@ class TestStackedStep:
 
     def test_check_names_the_smaller_of_two_failing_times(self, monkeypatch):
         # Two of the check's times fail; the smaller one is named.
+        _decline_bound(monkeypatch)
         alpha = conditioned_injective(np.random.default_rng(53), 9, 4, 1e3)
         r = orthonormalize(alpha).triangular_factor.to_dense()
         o = random_rotation(9, seed=7)
@@ -618,6 +630,7 @@ class TestStackedStep:
             check_equivariance(alpha, o)
 
     def test_one_certificate_call_per_path_and_per_check_side(self, monkeypatch):
+        _decline_bound(monkeypatch)
         alpha = conditioned_injective(np.random.default_rng(54), 20, 6, 1e4)
         calls = _counted_certificates(monkeypatch)
         trace_path(alpha, 33)
@@ -632,6 +645,92 @@ class TestStackedStep:
         homotopy_step(alpha, 0.3)
         trace_path(alpha, 3)
         assert calls == [(1, 6, 6), (1, 6, 6)]
+
+    def test_well_conditioned_path_makes_no_eager_certificate_call(self):
+        # The eigenvalue bound certifies every interior sample here; each
+        # estimate comes from its own triangle when it is read, with the bits
+        # that the batched certificate gives.
+        alpha = conditioned_injective(np.random.default_rng(56), 20, 6, 10.0)
+        with pytest.MonkeyPatch.context() as patch:
+            calls = _counted_certificates(patch)
+            path = trace_path(alpha, 33)
+            assert calls == []
+            path.samples[5].point.condition_estimate
+            assert calls == [(1, 6, 6)]
+        with pytest.MonkeyPatch.context() as patch:
+            _decline_bound(patch)
+            eager = trace_path(alpha, 33)
+        for s, e in zip(path.samples, eager.samples):
+            assert s.point.matrix.tobytes() == e.point.matrix.tobytes()
+            assert s.point.condition_estimate == e.point.condition_estimate
+
+    def test_lazy_points_behave_as_eager_ones(self):
+        # The constructor, ==, repr, dataclasses.replace (through
+        # equivariance.act) and pickling see the estimate the SVD gives.
+        rng = np.random.default_rng(57)
+        for alpha in (validate_injective([[3.0]]), conditioned_injective(rng, 12, 4, 10.0)):
+            lazy = trace_path(alpha, 5).samples[2].point
+            assert "condition_estimate" not in vars(lazy)
+            with pytest.MonkeyPatch.context() as patch:
+                _decline_bound(patch)
+                eager = trace_path(alpha, 5).samples[2].point
+            assert repr(lazy) == repr(eager)
+            assert lazy == lazy and (alpha.matrix.size > 1 or lazy == eager)
+            rebuilt = InjectiveMap(matrix=lazy.matrix, condition_estimate=lazy.condition_estimate)
+            assert rebuilt.condition_estimate == eager.condition_estimate
+            again = trace_path(alpha, 5).samples[2].point
+            o = random_rotation(alpha.shape[0], seed=3)
+            assert act(o, again).condition_estimate == eager.condition_estimate
+            copy = pickle.loads(pickle.dumps(trace_path(alpha, 5).samples[2].point))
+            assert copy.condition_estimate == eager.condition_estimate
+
+
+def _bound_gallery():
+    """Hard cases for the step's eigenvalue bound: Läuchli matrices near
+    condition 9e5, Kahan triangles, orthogonal columns graded by 2^k (R is
+    diagonal, so the bound is tight), conditioned maps and those maps with
+    columns scaled by 2^(±900 + j), |j| <= 2."""
+    for n in (2, 10, 25, 40):
+        eps = math.sqrt(n + 1) / 9e5
+        yield np.vstack([np.ones((1, n)), eps * np.eye(n)])
+    for n, theta in ((6, 1.2), (12, 1.2), (20, 1.0)):
+        upper = np.eye(n) - math.cos(theta) * np.triu(np.ones((n, n)), 1)
+        yield math.sin(theta) ** np.arange(n)[:, None] * upper
+    rng = np.random.default_rng(60)
+    for d in (6, 20):
+        q, _ = np.linalg.qr(rng.standard_normal((d + 5, d)))
+        yield q * 2.0 ** np.arange(d)
+    for condition in (1.0, 1e3, 1e5, 9e5):
+        base = conditioned_injective(rng, 24, 12, condition).matrix
+        yield base
+        for sign in (1, -1):
+            yield np.ldexp(base, sign * 900 + rng.integers(-2, 3, size=12))
+
+
+def test_eigenvalue_bound_is_sound_on_the_gallery():
+    eps = np.finfo(float).eps
+    inner = np.arange(1, 100) / 100
+    certified_count = tight = 0
+    for raw in _bound_gallery():
+        alpha = validate_injective(raw)
+        _, r = homotopy._factor(alpha)
+        d = len(r)
+        triangles = (1.0 - inner[:, None, None]) * r + inner[:, None, None] * np.eye(d)
+        low, high = homotopy._sigma_bounds(r, inner)
+        certified = low > 1e-8 * high
+        sigma_min = np.linalg.svd(triangles, compute_uv=False)[:, -1]
+        # Every certified triangle passes the rank rule, its bound is at
+        # most the computed sigma_min, and its lazy estimate reads cleanly.
+        condition_estimates(triangles[certified])
+        assert (low[certified] <= sigma_min[certified]).all()
+        samples = trace_path(alpha, 101).samples[1:-1]
+        for s, triangle in zip(samples, triangles):
+            assert s.point.condition_estimate == condition_estimates(triangle[None])[0]
+        # A bound shifted up by its rounding term exceeds a computed sigma_min.
+        shifted = low[certified] + 8 * d * eps * high[certified]
+        tight += int((shifted > sigma_min[certified]).any())
+        certified_count += int(certified.sum())
+    assert certified_count > 0 and tight > 0
 
 
 class TestContinuity:
