@@ -119,7 +119,7 @@ def parse_config(argv) -> argparse.Namespace:
 
 def _load_matrix(cfg: argparse.Namespace) -> np.ndarray:
     try:
-        text = Path(cfg.input_path).read_text()
+        text = Path(cfg.input_path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise MatrixFormatError(f"input is not text: {exc}") from exc
     if cfg.format == "json":

@@ -1,8 +1,10 @@
 """Validated dense-matrix types and the elementary kernels every other module
 consumes.
 
-Matrices are float64 numpy arrays kept in column-major (Fortran) order, since
-every algorithm here works column by column. All types are immutable after
+Matrices are float64 numpy arrays. Maps and frames are column-major, as the
+column sweep reads them; triangles are row-major (``UpperTriangularPositive``
+and ``gram_schmidt._sweep``'s R, whose back substitution's bits depend on it),
+and so is the blocked sweep's working copy. All types are immutable after
 validation: the wrapped arrays are marked read-only, so instances are safe to
 share across threads.
 """

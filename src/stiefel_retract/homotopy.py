@@ -146,31 +146,27 @@ def _step(alpha: InjectiveMap, end: InjectiveMap, r: np.ndarray, ts):
         point += t * end.matrix
     column = times.reshape(-1, 1, 1)
     triangles = (1.0 - column) * r + column * np.eye(d)
-    certified = [False] * len(inner)
     late = range(len(inner))
-    checked = triangles
-    if inner:
-        try:
-            if not np.isfinite(r).all():
-                raise NonFiniteError("matrix contains NaN or infinite entries")
-            if len(inner) > 1:
-                # Two decades above the rank rule: what passes, the SVD would pass.
-                low, high = _sigma_bounds(r, times)
-                certified = (low > 1e-8 * high).tolist()
-                late = [k for k, bounded in enumerate(certified) if not bounded]
-                checked = triangles[late]
-            conditions = iter(condition_estimates(checked) if late else ())
-        except (RankDeficientError, NonFiniteError) as exc:
-            t = inner[late[getattr(exc, "index", 0)]]
-            raise InternalRankLossError(
-                f"homotopy point at t={t:g} failed revalidation: {exc}"
-            ) from exc
+    try:
+        if inner and not np.isfinite(r).all():
+            raise NonFiniteError("matrix contains NaN or infinite entries")
+        if len(inner) > 1:
+            # Two decades above the rank rule: what passes, the SVD would pass.
+            low, high = _sigma_bounds(r, times)
+            late = [k for k, ok in enumerate((low > 1e-8 * high).tolist()) if not ok]
+        checked = triangles if len(late) == len(inner) else triangles[late]
+        known = dict(zip(late, condition_estimates(checked) if late else ()))
+    except (RankDeficientError, NonFiniteError) as exc:
+        t = inner[late[getattr(exc, "index", 0)]]
+        raise InternalRankLossError(
+            f"homotopy point at t={t:g} failed revalidation: {exc}"
+        ) from exc
     stack.setflags(write=False)
     points = [
-        InjectiveMap.lazy(point, partial(_condition_at, r, t))
-        if bounded
-        else InjectiveMap(matrix=point, condition_estimate=next(conditions))
-        for point, t, bounded in zip(stack, inner, certified)
+        InjectiveMap(matrix=point, condition_estimate=known[k])
+        if k in known
+        else InjectiveMap.lazy(point, partial(_condition_at, r, t))
+        for k, (point, t) in enumerate(zip(stack, inner))
     ]
     return [alpha] * bool(ts[0] == 0.0) + points + [end] * bool(ts[-1] == 1.0), triangles
 

@@ -112,6 +112,24 @@ class TestRetract:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        # "CSV UTF-8" spreadsheet exports start with a BOM. Input is UTF-8
+        # with an optional BOM; undecodable bytes after one are still not text.
+        matrix = np.array([[2.0, 1.0], [0.0, 1.0], [1.0, 3.0]])
+        bom = b"\xef\xbb\xbf"
+        for fmt, text in (("csv", format_matrix_csv(matrix)), ("json", format_matrix_json(matrix))):
+            outs = []
+            for prefix in (b"", bom):
+                src = tmp_path / f"in.{fmt}"
+                src.write_bytes(prefix + text.encode())
+                assert run(["retract", "--input", str(src), "--format", fmt]) == 0
+                outs.append(capsys.readouterr().out)
+            assert outs[0] == outs[1]
+        src = tmp_path / "bytes.csv"
+        src.write_bytes(bom + b"1.0,\xff\n")
+        assert run(["retract", "--input", str(src), "--format", "csv"]) == 2
+        assert capsys.readouterr().err.startswith("error: input is not text: ")
+
     @pytest.mark.filterwarnings("error")
     def test_triangle_outside_the_float_range(self, tmp_path, capsys):
         # Valid input whose R lies past the float range: retract succeeds,

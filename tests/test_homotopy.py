@@ -664,6 +664,21 @@ class TestStackedStep:
             assert s.point.matrix.tobytes() == e.point.matrix.tobytes()
             assert s.point.condition_estimate == e.point.condition_estimate
 
+    def test_points_the_bound_declines_are_exactly_the_eager_ones(self):
+        # At condition 9e5 the bound certifies some interior triangles and
+        # misses others. Only a missed one's point holds an estimate from the
+        # step; every estimate, stored or read, is its own triangle's.
+        alpha = conditioned_injective(np.random.default_rng(58), 24, 12, 9e5)
+        _, r = homotopy._factor(alpha)
+        inner = trace_path(alpha, 33).samples[1:-1]
+        low, high = homotopy._sigma_bounds(r, np.array([s.t for s in inner]))
+        declined = [not ok for ok in (low > 1e-8 * high).tolist()]
+        assert any(declined) and not all(declined)
+        for s, eager in zip(inner, declined):
+            assert ("condition_estimate" in vars(s.point)) == eager
+            triangle = (1.0 - s.t) * r + s.t * np.eye(12)
+            assert s.point.condition_estimate == condition_estimates(triangle[None])[0]
+
     def test_lazy_points_behave_as_eager_ones(self):
         # The constructor, ==, repr, dataclasses.replace (through
         # equivariance.act) and pickling see the estimate the SVD gives.
