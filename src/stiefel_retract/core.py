@@ -94,22 +94,28 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
 
 
+def gram(a: np.ndarray) -> np.ndarray:
+    """``a.T @ a``, or that of each matrix of a stack, in one call without overflow warnings."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return a.swapaxes(-1, -2) @ a
+
+
+def gram_defects(g: np.ndarray) -> np.ndarray:
+    """Max-abs deviation from the identity of each Gram matrix of ``g`` (one
+    or a stack, overwritten), as an array. A NaN entry, from overflowing
+    products of both signs, gives ``inf``, which a ``<=`` gate catches."""
+    d = g.shape[-1]
+    g = g.reshape(-1, d * d)
+    g[:, :: d + 1] -= 1.0
+    defect = np.abs(g).max(axis=1, initial=0.0)
+    defect[np.isnan(defect)] = math.inf
+    return defect
+
+
 def orthonormality_defect(a: np.ndarray):
     """Max-abs deviation of ``a.T @ a`` from the identity: a float for one
-    matrix, and for a stack ``(n, m, d)`` the array of the n defects.
-
-    Both come from one batched product. Entries past about 1e154 overflow
-    the Gram product, and the defect is then ``inf``, without a warning.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = a.swapaxes(-1, -2) @ a
-    d = a.shape[-1]
-    gram = gram.reshape(-1, d * d)
-    gram[:, :: d + 1] -= 1.0
-    defect = np.abs(gram).max(axis=1, initial=0.0)
-    # Overflowing products of both signs sum to NaN, which no ``<=`` gate
-    # would catch; it means the same as an overflow.
-    defect[np.isnan(defect)] = math.inf
+    matrix, and for a stack ``(n, m, d)`` the array of the n defects."""
+    defect = gram_defects(gram(a))
     return float(defect[0]) if a.ndim == 2 else defect
 
 

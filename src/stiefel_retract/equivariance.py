@@ -97,8 +97,8 @@ def check_equivariance(
     coefficient_defect = max_abs(
         moved.coefficient_matrix.matrix - base.coefficient_matrix.matrix
     )
-    left, _ = _step(rotated, include_frame(moved.frame), moved.triangular_factor.matrix, ts)
-    right, _ = _step(alpha, include_frame(base.frame), base.triangular_factor.matrix, ts)
+    left = _step(rotated, include_frame(moved.frame), moved.triangular_factor.matrix, ts)[0]
+    right = _step(alpha, include_frame(base.frame), base.triangular_factor.matrix, ts)[0]
     homotopy_defects = [
         (t, max_abs(p.matrix - o.matrix @ q.matrix)) for t, p, q in zip(ts, left, right)
     ]

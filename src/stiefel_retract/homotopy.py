@@ -12,8 +12,8 @@ d x d triangle has diagonal (1 - t) * r_ii + t > 0. The point's singular
 values are that triangle's, so points are certified from d x d triangles
 rather than m x d points. One step rule, ``_step``, forms every point from
 an endpoint, R and a sequence of times; the points in between are one stack,
-certified by one eigenvalue bound on R, sigma_min >= t + (1 - t) *
-lambda_min((R + R^T) / 2), and one batched SVD of the triangles it misses.
+certified by one batched Cholesky of their shifted Gram matrices and one
+batched SVD of the triangles that it misses.
 ``homotopy_step``, ``trace_path`` and ``check_equivariance`` all pass the
 sweep's frame and R, so every t = 1 point is the frame bit for bit; none of
 them forms M, whose diagonal is 1 / diag(R).
@@ -35,6 +35,8 @@ from .core import (
     as_real_array,
     as_real_scalar,
     condition_estimates,
+    gram,
+    gram_defects,
     include_frame,
     max_abs,
     orthonormality_defect,
@@ -86,25 +88,33 @@ def interpolant(alpha: InjectiveMap, t: float) -> UpperTriangularPositive:
     return UpperTriangularPositive.from_dense((1.0 - t) * np.eye(len(coeff)) + t * coeff)
 
 
-def _sigma_bounds(r: np.ndarray, times: np.ndarray):
-    """Bounds on the least and largest singular values of the triangles
-    T = (1 - t) * R + t * I of ``times``, from one eigensolve:
-    sigma_min(T) >= t + (1 - t) * nu, nu = lambda_min((R + R^T) / 2) (Horn
-    and Johnson, Topics in Matrix Analysis, ch. 1), and
-    sigma_max(T) <= high = (1 - t) |R|_F + t.
+def _certified(grams: np.ndarray) -> np.ndarray:
+    """Which Gram matrices G = T^T T of a stack certify their triangles T:
+    those whose shifted G - s I, s = (1e-16 + 3 (d + 1) eps) tr G, Cholesky
+    factors without a NaN or inf (OpenBLAS passes a NaN pivot), in one
+    batched call or, if it raises, one call each.
 
-    The lower bound loses 8 d eps * high. By Weyl's inequality that covers
-    the rounding of (R + R^T) / 2 (eps |R|_F) and of T
-    (3 eps (1 - t) |R|_F + eps t), the eigensolver's backward error
-    (LAPACK's p(d) eps |R|_2, p modest) and the SVD's, so the bound stays
-    below the sigma_min that ``condition_estimates`` computes. A norm past
-    the float range (max|R| above about 1e154) makes the lower bound -inf.
+    Such a T has sigma_min^2 = lambda_min(G) > 1e-16 tr G >= 1e-16
+    sigma_max^2, two decades above the rank rule. By Weyl's inequality, to
+    first order in eps tr G: the computed Gram, in whichever triangle
+    Cholesky reads, is within d eps tr G of G in 2-norm (gamma_d |T^T| |T|);
+    subtracting s rounds the diagonal by eps tr G; and a Cholesky that
+    completes factors its input up to (d + 1) eps tr G (Demmel 1989; Rump,
+    BIT 46, 2006: gamma_(d+1) |L| |L^T|, of trace at most tr G / (1 -
+    gamma_(d+1))). The last (d + 1) eps tr G of s covers the rounding of
+    tr G and s, and underflow: the callers' times give tr G >= d t^2 >=
+    d / MAX_ENTRIES^2. An overflowing tr G (max|R| above about 1e154) makes
+    s infinite and the factor not finite.
     """
+    n, d = len(grams), grams.shape[-1]
+    shifted = grams.copy()
     with np.errstate(over="ignore", invalid="ignore"):
-        nu = np.linalg.eigvalsh(0.5 * r + 0.5 * r.T)[0]
-        high = (1.0 - times) * np.linalg.norm(r) + times
-        low = times + (1.0 - times) * nu - 8 * len(r) * np.finfo(float).eps * high
-    return low, high
+        s = (1e-16 + 3 * (d + 1) * np.finfo(float).eps) * np.trace(grams, axis1=1, axis2=2)
+        shifted.reshape(n, d * d)[:, :: d + 1] -= s[:, None]
+    try:
+        return np.isfinite(np.linalg.cholesky(shifted)).all(axis=(1, 2))
+    except np.linalg.LinAlgError:
+        return np.array([n > 1 and _certified(g[None])[0] for g in grams], dtype=bool)
 
 
 def _condition_at(r: np.ndarray, t: float) -> float:
@@ -117,20 +127,20 @@ def _step(alpha: InjectiveMap, end: InjectiveMap, r: np.ndarray, ts):
     ascending without repeats in [0, 1], where ``end`` is alpha's frame Q and
     ``r`` the dense R of alpha = Q @ R.
 
-    Returns the points in the order of ``ts``, and the stack of the d x d
-    triangles (1 - t) * R + t * I of the times strictly inside (0, 1). Both
-    endpoints are returned as they are. The points in between are read-only
-    views into one stack, however many there are. Each is
+    Returns the points in the order of ``ts``, the stack of the d x d
+    triangles (1 - t) * R + t * I of the times strictly inside (0, 1), and
+    the stack of their Gram matrices T^T T, or None for fewer than two such
+    times. Both endpoints are returned as they are. The points in between
+    are read-only views into one stack, however many there are. Each is
     (1 - t) * alpha + t * Q, finite since alpha is validated and Q a frame,
     and equals Q @ ((1 - t) * R + t * I), so its triangle certifies it (rank
     and condition estimate). The triangles are finite exactly when R is, so
-    R is checked once. Of two or more triangles, those whose
-    :func:`_sigma_bounds` lie within eight decades are certified by them,
-    and each such point computes its estimate from R and t when it is first
-    read; the others, and a lone time, go through one batched SVD. A failure
-    raises ``InternalRankLossError`` naming the smallest failing t (the
-    first, for a non-finite R), with the error that its triangle gives on
-    its own.
+    R is checked once. Of two or more triangles, those that
+    :func:`_certified` passes are certified, and each such point computes
+    its estimate from R and t when it is first read; the others, and a lone
+    time, go through one batched SVD. A failure raises
+    ``InternalRankLossError`` naming the smallest failing t (the first, for
+    a non-finite R), with the error that its triangle gives on its own.
     """
     ts = np.asarray(ts)
     times = ts[(0.0 < ts) & (ts < 1.0)]
@@ -146,14 +156,13 @@ def _step(alpha: InjectiveMap, end: InjectiveMap, r: np.ndarray, ts):
         point += t * end.matrix
     column = times.reshape(-1, 1, 1)
     triangles = (1.0 - column) * r + column * np.eye(d)
-    late = range(len(inner))
+    late, grams = range(len(inner)), None
     try:
         if inner and not np.isfinite(r).all():
             raise NonFiniteError("matrix contains NaN or infinite entries")
         if len(inner) > 1:
-            # Two decades above the rank rule: what passes, the SVD would pass.
-            low, high = _sigma_bounds(r, times)
-            late = [k for k, ok in enumerate((low > 1e-8 * high).tolist()) if not ok]
+            grams = gram(triangles)
+            late = np.flatnonzero(~_certified(grams)).tolist()
         checked = triangles if len(late) == len(inner) else triangles[late]
         known = dict(zip(late, condition_estimates(checked) if late else ()))
     except (RankDeficientError, NonFiniteError) as exc:
@@ -168,7 +177,7 @@ def _step(alpha: InjectiveMap, end: InjectiveMap, r: np.ndarray, ts):
         else InjectiveMap.lazy(point, partial(_condition_at, r, t))
         for k, (point, t) in enumerate(zip(stack, inner))
     ]
-    return [alpha] * bool(ts[0] == 0.0) + points + [end] * bool(ts[-1] == 1.0), triangles
+    return [alpha] * bool(ts[0] == 0.0) + points + [end] * bool(ts[-1] == 1.0), triangles, grams
 
 
 def homotopy_step(alpha: InjectiveMap, t: float) -> InjectiveMap:
@@ -242,11 +251,11 @@ def trace_path(alpha: InjectiveMap, n: int) -> HomotopyPath:
     # k / (n - 1) bit for bit, as one array: a count that does not fit in
     # memory fails here or at the step's stack, before any per-sample object.
     times = np.arange(n) / (n - 1)
-    points, triangles = _step(alpha, include_frame(frame), r, times)
+    points, triangles, grams = _step(alpha, include_frame(frame), r, times)
     ts = times.tolist()
     defects = [
         orthonormality_defect(alpha.matrix),
-        *orthonormality_defect(triangles).tolist(),
+        *gram_defects(gram(triangles) if grams is None else grams).tolist(),
         orthonormality_defect(frame.matrix),
     ]
     samples = [

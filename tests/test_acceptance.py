@@ -13,6 +13,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from stiefel_retract import (
@@ -150,8 +151,8 @@ def test_criterion_2_fails_on_a_perturbed_frame(monkeypatch):
 def test_criterion_3_fails_on_a_wrong_certificate(monkeypatch):
     # Step certificates with rank threshold 0.5, that is condition 2, reject
     # points that are injective; the row reads trace_path's certificates, so
-    # it must fail. The eigenvalue bound is made to certify nothing, so every
-    # interior sample goes through these certificates.
+    # it must fail. The Cholesky certificate is made to certify nothing, so
+    # every interior sample goes through these certificates.
     certify = homotopy.condition_estimates
 
     def strict_certify(a):
@@ -160,7 +161,7 @@ def test_criterion_3_fails_on_a_wrong_certificate(monkeypatch):
             raise RankDeficientError("singular-value ratio at or below 0.5")
         return conditions
 
-    monkeypatch.setattr(homotopy, "_sigma_bounds", lambda r, times: (0.0 * times, 1.0 + times))
+    monkeypatch.setattr(homotopy, "_certified", lambda grams: np.zeros(len(grams), dtype=bool))
     monkeypatch.setattr(homotopy, "condition_estimates", strict_certify)
     result = _run_row(monkeypatch, "criterion-3-rank-along-path")
     assert not result.passed, result.detail

@@ -565,7 +565,7 @@ class TestDeterminism:
             ["retract", "--dims", "20000x8", "--seed", "5"],
             ["retract", "--dims", "8192x16", "--seed", "5"],
             ["path", "--dims", "500x120", "--seed", "4", "--steps", "7"],
-            # The step's eigenvalue bound decides which samples take the SVD;
+            # The step's Cholesky certificate decides which samples take the SVD;
             # the output must not depend on that choice.
             ["path", "--dims", "256x64", "--seed", "5", "--steps", "33"],
             ["check", "--dims", "128x64", "--batch", "3", "--seed", "5"],

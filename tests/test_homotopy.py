@@ -31,7 +31,13 @@ from stiefel_retract import (
     validate_injective,
 )
 from stiefel_retract import homotopy
-from stiefel_retract.core import InjectiveMap, condition_estimates, max_abs, orthonormality_defect
+from stiefel_retract.core import (
+    InjectiveMap,
+    condition_estimates,
+    gram,
+    max_abs,
+    orthonormality_defect,
+)
 from stiefel_retract.equivariance import act
 from stiefel_retract.homotopy import path_to_csv, path_to_json_obj
 from stiefel_retract.matio import MatrixFormatError, matrix_from_object
@@ -55,9 +61,9 @@ def _refuse_certificates(monkeypatch, error):
 
 
 def _decline_bound(monkeypatch):
-    """Make the step's eigenvalue bound certify nothing (a lower bound of
-    0), so every interior triangle goes through ``condition_estimates``."""
-    monkeypatch.setattr(homotopy, "_sigma_bounds", lambda r, times: (0.0 * times, 1.0 + times))
+    """Make the step's Cholesky certificate certify nothing, so every
+    interior triangle goes through ``condition_estimates``."""
+    monkeypatch.setattr(homotopy, "_certified", lambda grams: np.zeros(len(grams), dtype=bool))
 
 
 def parse_path_csv(text: str) -> list[dict]:
@@ -583,8 +589,8 @@ class TestStackedStep:
                 frame, r = homotopy._factor(alpha)
                 end = include_frame(frame)
                 for t in (0.1, 0.5, 0.9):
-                    [lone], lone_triangles = homotopy._step(alpha, end, r, (t,))
-                    points, triangles = homotopy._step(alpha, end, r, (t / 2, t, (1 + t) / 2))
+                    [lone], lone_triangles, _ = homotopy._step(alpha, end, r, (t,))
+                    points, triangles, _ = homotopy._step(alpha, end, r, (t / 2, t, (1 + t) / 2))
                     assert lone.matrix.tobytes() == points[1].matrix.tobytes()
                     assert lone.condition_estimate == points[1].condition_estimate
                     assert lone_triangles.tobytes() == triangles[1:2].tobytes()
@@ -647,7 +653,7 @@ class TestStackedStep:
         assert calls == [(1, 6, 6), (1, 6, 6)]
 
     def test_well_conditioned_path_makes_no_eager_certificate_call(self):
-        # The eigenvalue bound certifies every interior sample here; each
+        # The Cholesky certificate covers every interior sample here; each
         # estimate comes from its own triangle when it is read, with the bits
         # that the batched certificate gives.
         alpha = conditioned_injective(np.random.default_rng(56), 20, 6, 10.0)
@@ -665,19 +671,18 @@ class TestStackedStep:
             assert s.point.condition_estimate == e.point.condition_estimate
 
     def test_points_the_bound_declines_are_exactly_the_eager_ones(self):
-        # At condition 9e5 the bound certifies some interior triangles and
-        # misses others. Only a missed one's point holds an estimate from the
-        # step; every estimate, stored or read, is its own triangle's.
-        alpha = conditioned_injective(np.random.default_rng(58), 24, 12, 9e5)
-        _, r = homotopy._factor(alpha)
-        inner = trace_path(alpha, 33).samples[1:-1]
-        low, high = homotopy._sigma_bounds(r, np.array([s.t for s in inner]))
-        declined = [not ok for ok in (low > 1e-8 * high).tolist()]
-        assert any(declined) and not all(declined)
-        for s, eager in zip(inner, declined):
-            assert ("condition_estimate" in vars(s.point)) == eager
-            triangle = (1.0 - s.t) * r + s.t * np.eye(12)
-            assert s.point.condition_estimate == condition_estimates(triangle[None])[0]
+        # At condition 1e8 the certificate declines the triangle at t = 1e-9
+        # and certifies the one at t = 0.5. Only a declined one's point holds
+        # an estimate from the step; every estimate, stored or read, is its
+        # own triangle's.
+        alpha = conditioned_injective(np.random.default_rng(58), 24, 12, 1e8)
+        frame, r = homotopy._factor(alpha)
+        points, triangles, grams = homotopy._step(alpha, include_frame(frame), r, (1e-9, 0.5))
+        declined = (~homotopy._certified(grams)).tolist()
+        assert declined == [True, False]
+        for point, triangle, eager in zip(points, triangles, declined):
+            assert ("condition_estimate" in vars(point)) == eager
+            assert point.condition_estimate == condition_estimates(triangle[None])[0]
 
     def test_lazy_points_behave_as_eager_ones(self):
         # The constructor, ==, repr, dataclasses.replace (through
@@ -701,10 +706,10 @@ class TestStackedStep:
 
 
 def _bound_gallery():
-    """Hard cases for the step's eigenvalue bound: Läuchli matrices near
+    """Hard cases for the step's certificate: Läuchli matrices near
     condition 9e5, Kahan triangles, orthogonal columns graded by 2^k (R is
-    diagonal, so the bound is tight), conditioned maps and those maps with
-    columns scaled by 2^(±900 + j), |j| <= 2."""
+    diagonal), conditioned maps and those maps with columns scaled by
+    2^(±900 + j), |j| <= 2."""
     for n in (2, 10, 25, 40):
         eps = math.sqrt(n + 1) / 9e5
         yield np.vstack([np.ones((1, n)), eps * np.eye(n)])
@@ -722,30 +727,68 @@ def _bound_gallery():
             yield np.ldexp(base, sign * 900 + rng.integers(-2, 3, size=12))
 
 
-def test_eigenvalue_bound_is_sound_on_the_gallery():
-    eps = np.finfo(float).eps
+def _eigenvalue_bound_certifies(r, times):
+    """The step's former certificate, for comparison: sigma_min(T) >= low =
+    t + (1 - t) lambda_min((R + R^T) / 2) - 8 d eps high, with
+    high = (1 - t) |R|_F + t, certifying where low > 1e-8 high."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        nu = np.linalg.eigvalsh(0.5 * r + 0.5 * r.T)[0]
+        high = (1.0 - times) * np.linalg.norm(r) + times
+        low = times + (1.0 - times) * nu - 8 * len(r) * np.finfo(float).eps * high
+    return low > 1e-8 * high
+
+
+@pytest.mark.filterwarnings("error")
+def test_cholesky_certificate_is_sound_on_the_gallery():
     inner = np.arange(1, 100) / 100
-    certified_count = tight = 0
+    counts = []
     for raw in _bound_gallery():
         alpha = validate_injective(raw)
         _, r = homotopy._factor(alpha)
         d = len(r)
         triangles = (1.0 - inner[:, None, None]) * r + inner[:, None, None] * np.eye(d)
-        low, high = homotopy._sigma_bounds(r, inner)
-        certified = low > 1e-8 * high
-        sigma_min = np.linalg.svd(triangles, compute_uv=False)[:, -1]
-        # Every certified triangle passes the rank rule, its bound is at
-        # most the computed sigma_min, and its lazy estimate reads cleanly.
+        certified = homotopy._certified(gram(triangles))
+        # Every certified triangle passes the rank rule with two decades to
+        # spare, and its lazy estimate reads cleanly.
         condition_estimates(triangles[certified])
-        assert (low[certified] <= sigma_min[certified]).all()
+        sv = np.linalg.svd(triangles[certified], compute_uv=False)
+        assert (sv[:, -1] > 1e-8 * sv[:, 0]).all()
         samples = trace_path(alpha, 101).samples[1:-1]
         for s, triangle in zip(samples, triangles):
             assert s.point.condition_estimate == condition_estimates(triangle[None])[0]
-        # A bound shifted up by its rounding term exceeds a computed sigma_min.
-        shifted = low[certified] + 8 * d * eps * high[certified]
-        tight += int((shifted > sigma_min[certified]).any())
-        certified_count += int(certified.sum())
-    assert certified_count > 0 and tight > 0
+        # It certifies whatever the eigenvalue bound did, and nothing past
+        # the float range (columns scaled by 2^+900).
+        eigen = _eigenvalue_bound_certifies(r, inner)
+        assert (certified >= eigen).all()
+        if max_abs(r) > 1e154:
+            assert not certified.any()
+        counts.append((int(certified.sum()), int(eigen.sum())))
+    assert sum(c for c, _ in counts) > sum(e for _, e in counts) > 0
+
+
+def test_cholesky_certificate_declines_triangles_just_below_its_level():
+    # The certified level of sigma_min / |T|_F is sqrt(1e-16 + 3 (d + 1) eps).
+    # Triangles at 0.3 to 0.9 of it are declined; without the shift's
+    # rounding term they would be certified (a level of 1e-8).
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(62)
+    for d in (4, 12, 32, 64):
+        level = math.sqrt(1e-16 + 3 * (d + 1) * eps)
+        rest = np.logspace(0, -2, d - 1)
+        triangles = []
+        for fraction in np.linspace(0.3, 0.9, 7):
+            ratio = fraction * level
+            smallest = ratio * np.linalg.norm(rest) / math.sqrt(1.0 - ratio**2)
+            u, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            v, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            _, t = np.linalg.qr((u * np.append(rest, smallest)) @ v.T)
+            t *= np.sign(t.diagonal())[:, None]
+            sv = np.linalg.svd(t, compute_uv=False)
+            assert 0.29 < sv[-1] / np.linalg.norm(t) / level < 0.91
+            triangles.append(t)
+        triangles = np.stack(triangles)
+        assert not homotopy._certified(gram(triangles)).any()
+        assert not any(homotopy._certified(gram(t[None]))[0] for t in triangles)
 
 
 class TestContinuity:
