@@ -13,10 +13,10 @@ values are that triangle's, so points are certified from d x d triangles
 rather than m x d points. One step rule, ``_step``, forms every point from
 an endpoint, R and a sequence of times; the points in between are one stack,
 certified by one batched Cholesky of their shifted Gram matrices and one
-batched SVD of the triangles that it misses.
-``homotopy_step``, ``trace_path`` and ``check_equivariance`` all pass the
-sweep's frame and R, so every t = 1 point is the frame bit for bit; none of
-them forms M, whose diagonal is 1 / diag(R).
+batched SVD of the triangles that it misses. ``homotopy_step``,
+``trace_path`` and ``check_equivariance`` all pass the sweep's frame and R,
+so every t = 1 point is the frame bit for bit; none of them forms M, whose
+diagonal is 1 / diag(R).
 """
 
 from __future__ import annotations
@@ -129,21 +129,22 @@ def _step(alpha: InjectiveMap, end: InjectiveMap, r: np.ndarray, ts):
 
     Returns the points in the order of ``ts``, the stack of the d x d
     triangles (1 - t) * R + t * I of the times strictly inside (0, 1), and
-    the stack of their Gram matrices T^T T, or None for fewer than two such
-    times. Both endpoints are returned as they are. The points in between
-    are read-only views into one stack, however many there are. Each is
-    (1 - t) * alpha + t * Q, finite since alpha is validated and Q a frame,
-    and equals Q @ ((1 - t) * R + t * I), so its triangle certifies it (rank
-    and condition estimate). The triangles are finite exactly when R is, so
-    R is checked once. Of two or more triangles, those that
-    :func:`_certified` passes are certified, and each such point computes
-    its estimate from R and t when it is first read; the others, and a lone
-    time, go through one batched SVD. A failure raises
-    ``InternalRankLossError`` naming the smallest failing t (the first, for
-    a non-finite R), with the error that its triangle gives on its own.
+    for two or more times the stack of their Gram matrices T^T T, else None.
+    Both endpoints are returned as they are, the points in between as
+    read-only views into one stack. Such a point (1 - t) * alpha + t * Q is
+    finite and equals Q @ ((1 - t) * R + t * I), so its triangle certifies
+    it (rank and condition estimate). The triangles are finite exactly when
+    R is, so when there are any, a non-finite R raises
+    ``NumericalRankLossError`` at once. Those that :func:`_certified` passes
+    are certified, and each such point computes its estimate from R and t
+    when it is first read; the others, and a lone time, go through one
+    batched SVD. A failure raises ``InternalRankLossError`` naming the
+    smallest failing t, with the error that its triangle gives on its own.
     """
     ts = np.asarray(ts)
     times = ts[(0.0 < ts) & (ts < 1.0)]
+    if times.size and not np.isfinite(r).all():
+        raise NumericalRankLossError("triangular factor R lies outside the float range")
     m, d = alpha.shape
     # Each point is an F-contiguous (m, d) view into one stack. The stack
     # comes before any per-time Python object, so a count that does not fit
@@ -157,16 +158,15 @@ def _step(alpha: InjectiveMap, end: InjectiveMap, r: np.ndarray, ts):
     column = times.reshape(-1, 1, 1)
     triangles = (1.0 - column) * r + column * np.eye(d)
     late, grams = range(len(inner)), None
-    try:
-        if inner and not np.isfinite(r).all():
-            raise NonFiniteError("matrix contains NaN or infinite entries")
-        if len(inner) > 1:
-            grams = gram(triangles)
+    if len(ts) > 1:
+        grams = gram(triangles)
+        if inner:
             late = np.flatnonzero(~_certified(grams)).tolist()
+    try:
         checked = triangles if len(late) == len(inner) else triangles[late]
         known = dict(zip(late, condition_estimates(checked) if late else ()))
-    except (RankDeficientError, NonFiniteError) as exc:
-        t = inner[late[getattr(exc, "index", 0)]]
+    except RankDeficientError as exc:
+        t = inner[late[exc.index]]
         raise InternalRankLossError(
             f"homotopy point at t={t:g} failed revalidation: {exc}"
         ) from exc
@@ -185,11 +185,11 @@ def homotopy_step(alpha: InjectiveMap, t: float) -> InjectiveMap:
 
     t = 0 returns ``alpha`` itself and t = 1 the Gram-Schmidt frame, bit for
     bit, with condition estimate exactly 1. Other points are
-    (1 - t) * alpha + t * frame, certified through the d x d triangle
-    (1 - t) * R + t * I; failure raises ``InternalRankLossError`` (not
-    expected for condition estimates within the guaranteed regime), as does
-    an R outside the float range. Only Q and R are computed, so columns whose
-    coefficients would lie outside the float range are fine.
+    (1 - t) * alpha + t * frame, certified by one SVD (no Gram) of the d x d
+    triangle (1 - t) * R + t * I; failure raises ``InternalRankLossError``
+    (not expected for condition estimates within the guaranteed regime), and
+    an R outside the float range ``NumericalRankLossError``. Only Q and R are
+    computed, so columns whose coefficients may lie outside it are fine.
     """
     t = _check_unit_interval(t)
     if t == 0.0:
@@ -231,10 +231,11 @@ def trace_path(alpha: InjectiveMap, n: int) -> HomotopyPath:
     endpoint is the frame of :func:`retract` bit for bit. Each sample records
     the least interpolant diagonal entry, (1 - t) + t / max(diag(R)), and an
     orthogonality defect: of the point at t = 0 and t = 1, and of its triangle
-    in between (the point's, in exact arithmetic). ``NumericalRankLossError``
-    is raised where the sweep fails, R overflows or 1 / max(diag(R)) does,
-    and ``DomainError`` before anything is built when n samples would hold
-    more than ``MAX_ENTRIES`` entries.
+    in between (the point's, in exact arithmetic), from the step's Gram stack.
+    ``NumericalRankLossError`` is raised where the sweep fails, diag(R) or
+    1 / max(diag(R)) leaves the float range or, for n > 2, R does; and
+    ``DomainError`` before anything is built when n samples would hold more
+    than ``MAX_ENTRIES`` entries.
     """
     n = as_integer(n, "n")
     if n < 2:
@@ -244,23 +245,20 @@ def trace_path(alpha: InjectiveMap, n: int) -> HomotopyPath:
     frame, r = _factor(alpha)
     # M's least diagonal entry, bit for bit: M_ii = 1 / r_ii and rounding is monotone.
     low = 1.0 / float(r.diagonal().max())
-    if not (low < math.inf and np.isfinite(r).all()):
-        raise NumericalRankLossError(
-            "R or the diagonal of M = R^-1 lies outside the float range"
-        )
+    if not 0.0 < low < math.inf:
+        raise NumericalRankLossError("diagonal of R or of M = R^-1 lies outside the float range")
     # k / (n - 1) bit for bit, as one array: a count that does not fit in
     # memory fails here or at the step's stack, before any per-sample object.
     times = np.arange(n) / (n - 1)
-    points, triangles, grams = _step(alpha, include_frame(frame), r, times)
-    ts = times.tolist()
+    points, _, grams = _step(alpha, include_frame(frame), r, times)
     defects = [
         orthonormality_defect(alpha.matrix),
-        *gram_defects(gram(triangles) if grams is None else grams).tolist(),
+        *gram_defects(grams).tolist(),
         orthonormality_defect(frame.matrix),
     ]
     samples = [
         PathSample(t=t, point=p, min_interpolant_diag=(1.0 - t) + t * low, ortho_defect=e)
-        for t, p, e in zip(ts, points, defects)
+        for t, p, e in zip(times.tolist(), points, defects)
     ]
     return HomotopyPath(source=alpha, samples=tuple(samples))
 

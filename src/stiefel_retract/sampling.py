@@ -36,19 +36,20 @@ def generate_injective(
 
     Returns ``(map, resamples)``; a draw is kept if it validates and, when
     given, ``max_condition`` bounds its condition estimate. A shape outside
-    0 < d <= m, or a ``max_condition`` that is not a single real number,
-    raises a library error before any draw.
+    0 < d <= m, or a ``max_condition`` that is not a real number >= 1 (no
+    estimate is below 1), raises a library error before any draw.
     """
     m, d = _injective_shape(m, d)
-    if max_condition is not None:
-        max_condition = as_real_scalar(max_condition, "max_condition")
+    bound = np.inf if max_condition is None else as_real_scalar(max_condition, "max_condition")
+    if not bound >= 1.0:
+        raise DomainError(f"max_condition must be at least 1, got {max_condition}")
     for resamples in range(MAX_TRIES):
         raw = rng.uniform(-1.0, 1.0, size=(m, d))
         try:
             alpha = validate_injective(raw)
         except RankDeficientError:
             continue
-        if max_condition is None or alpha.condition_estimate <= max_condition:
+        if alpha.condition_estimate <= bound:
             return alpha, resamples
     raise StiefelRetractError(
         f"could not generate a valid {m}x{d} matrix in {MAX_TRIES} tries"

@@ -425,12 +425,19 @@ def test_sampling_reads_counts_as_integers(draw, error):
 
 @pytest.mark.parametrize(
     "max_condition, error",
-    [("x", MatrixFormatError), ([1.0, 2.0], DomainError), (1 + 2j, MatrixFormatError)],
-    ids=["text", "list", "complex"],
+    [
+        ("x", MatrixFormatError),
+        ([1.0, 2.0], DomainError),
+        (1 + 2j, MatrixFormatError),
+        (0.5, DomainError),
+        (float("nan"), DomainError),
+    ],
+    ids=["text", "list", "complex", "below_one", "nan"],
 )
 def test_generate_injective_reads_max_condition_before_drawing(max_condition, error):
     # Library errors instead of the builtin TypeError from comparing a
     # condition estimate with the bound, and raised before the first draw.
+    # No estimate is below 1, so a bound below 1 or NaN can never be met.
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
     with pytest.raises(error):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from stiefel_retract import (
     DimensionError,
     InjectiveMap,
-    InternalRankLossError,
     NumericalRankLossError,
     RankDeficientError,
     coefficient_matrix,
@@ -354,11 +353,10 @@ class TestTriangleOutsideTheFloatRange:
             qr_decompose,
             lambda a: trace_path(a, 3),
             lambda a: check_equivariance(a, random_rotation(2, seed=5)),
+            lambda a: homotopy_step(a, 0.5),
         ):
             with pytest.raises(NumericalRankLossError, match="outside the float range"):
                 fn(alpha)
-        with pytest.raises(InternalRankLossError, match=r"t=0\.5 failed revalidation"):
-            homotopy_step(alpha, 0.5)
 
     @pytest.mark.filterwarnings("error")
     def test_retract_still_returns_the_frame(self):

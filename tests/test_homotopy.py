@@ -472,6 +472,23 @@ class TestStraightLinePath:
         with pytest.raises(NumericalRankLossError, match="outside the float range"):
             trace_path(alpha, 3)
 
+    @pytest.mark.filterwarnings("error")
+    def test_two_samples_read_only_the_diagonal_of_r(self):
+        # r_12 overflows while r_11 and r_22 do not. Two samples are alpha
+        # and the frame, as retract gives them; every interior point needs
+        # all of R, and t = 1 none of it.
+        alpha = validate_injective([[1e308, 1.5e308], [1e308, 1.5e308], [0.0, 1e299]])
+        r = homotopy._factor(alpha)[1]
+        frame = retract(alpha).matrix
+        path = trace_path(alpha, 2)
+        assert path.samples[0].point is alpha
+        assert np.array_equal(path.samples[1].point.matrix, frame)
+        assert [s.min_interpolant_diag for s in path.samples] == [1.0, 1.0 / r.diagonal().max()]
+        for fn in (lambda a: trace_path(a, 3), lambda a: homotopy_step(a, 0.5)):
+            with pytest.raises(NumericalRankLossError, match="outside the float range"):
+                fn(alpha)
+        assert np.array_equal(homotopy_step(alpha, 1.0).matrix, frame)
+
     def test_points_are_read_only_column_major(self):
         for _, path in _seeded_paths(n=5):
             for s in path.samples:
@@ -669,6 +686,17 @@ class TestStackedStep:
         for s, e in zip(path.samples, eager.samples):
             assert s.point.matrix.tobytes() == e.point.matrix.tobytes()
             assert s.point.condition_estimate == e.point.condition_estimate
+        # A lone interior sample goes through the same certificate.
+        with pytest.MonkeyPatch.context() as patch:
+            calls = _counted_certificates(patch)
+            middle = trace_path(alpha, 3).samples[1].point
+            assert calls == []
+            assert "condition_estimate" not in vars(middle)
+        with pytest.MonkeyPatch.context() as patch:
+            _decline_bound(patch)
+            eager = trace_path(alpha, 3).samples[1].point
+        assert middle.matrix.tobytes() == eager.matrix.tobytes()
+        assert middle.condition_estimate == eager.condition_estimate
 
     def test_points_the_bound_declines_are_exactly_the_eager_ones(self):
         # At condition 1e8 the certificate declines the triangle at t = 1e-9
