@@ -241,8 +241,8 @@ def _sweep(a: np.ndarray):
 def _factor(alpha: InjectiveMap):
     """Run the sweep and check the frame once.
 
-    Returns ``(frame, r)`` with ``alpha = frame @ r`` within roundoff and r
-    the dense triangle, checked only by the callers that return it.
+    Returns ``(frame, r, defect)``: ``alpha = frame @ r`` within roundoff,
+    r dense, checked only by callers that return it, and the frame's defect.
     """
     q, r = _sweep(alpha.matrix)
     defect = orthonormality_defect(q)
@@ -253,7 +253,7 @@ def _factor(alpha: InjectiveMap):
             f"(condition estimate {alpha.condition_estimate:.3e})"
         )
     q.setflags(write=False)
-    return StiefelFrame(matrix=q), r
+    return StiefelFrame(matrix=q), r, defect
 
 
 def _checked_factor(dense_r: np.ndarray) -> UpperTriangularPositive:
@@ -279,7 +279,7 @@ def orthonormalize(alpha: InjectiveMap) -> GramSchmidtResult:
     1e-10 orthogonality tolerance, or when an entry of R or of the
     coefficient matrix lies outside the float range.
     """
-    frame, dense_r = _factor(alpha)
+    frame, dense_r, _ = _factor(alpha)
     r = _checked_factor(dense_r)
     try:
         coeff = tri_solve_inverse(r)
@@ -317,7 +317,7 @@ def qr_decompose(alpha: InjectiveMap) -> tuple[StiefelFrame, UpperTriangularPosi
     m, d = alpha.matrix.shape
     if m != d:
         raise DimensionError("qr requires a square matrix")
-    frame, r = _factor(alpha)
+    frame, r, _ = _factor(alpha)
     return frame, _checked_factor(r)
 
 

@@ -125,8 +125,8 @@ def test_criterion_1_fails_on_a_scaled_frame(monkeypatch):
     real = gram_schmidt._factor
 
     def scaled(alpha):
-        frame, r = real(alpha)
-        return StiefelFrame(matrix=frame.matrix * (1.0 + 1e-9)), r
+        frame, r, defect = real(alpha)
+        return StiefelFrame(matrix=frame.matrix * (1.0 + 1e-9)), r, defect
 
     monkeypatch.setattr(gram_schmidt, "_factor", scaled)
     result = _run_row(monkeypatch, "criterion-1-orthonormality")
@@ -140,8 +140,8 @@ def test_criterion_2_fails_on_a_perturbed_frame(monkeypatch):
     real = homotopy._factor
 
     def perturbed(alpha):
-        frame, r = real(alpha)
-        return StiefelFrame(matrix=frame.matrix * (1.0 + 1e-8)), r
+        frame, r, defect = real(alpha)
+        return StiefelFrame(matrix=frame.matrix * (1.0 + 1e-8)), r, defect
 
     monkeypatch.setattr(homotopy, "_factor", perturbed)
     result = _run_row(monkeypatch, "criterion-2-homotopy-endpoints")

@@ -603,7 +603,7 @@ class TestStackedStep:
         for m, d in ((3, 2), (10, 5), (16, 12), (256, 64)):
             for condition in (1.0, 1e4, 9e5):
                 alpha = conditioned_injective(rng, m, d, condition)
-                frame, r = homotopy._factor(alpha)
+                frame, r, _ = homotopy._factor(alpha)
                 end = include_frame(frame)
                 for t in (0.1, 0.5, 0.9):
                     [lone], lone_triangles, _ = homotopy._step(alpha, end, r, (t,))
@@ -625,6 +625,26 @@ class TestStackedStep:
                 assert s.ortho_defect == orthonormality_defect(triangle)
                 gap = abs(s.ortho_defect - orthonormality_defect(s.point.matrix))
                 assert gap <= 100 * eps * alpha.condition_estimate
+
+    def test_end_defect_is_the_one_the_sweep_compared(self, monkeypatch):
+        # The sweep's gate has measured the frame; trace_path measures only
+        # alpha and reports the gate's value at t = 1, bit for bit.
+        real = homotopy.orthonormality_defect
+        measured = []
+
+        def counted(a):
+            measured.append(a)
+            return real(a)
+
+        monkeypatch.setattr(homotopy, "orthonormality_defect", counted)
+        rng = np.random.default_rng(64)
+        for (m, d), condition, n in (((9, 4), 1.0, 2), ((40, 12), 9e5, 3), ((300, 220), 1e3, 2)):
+            alpha = conditioned_injective(rng, m, d, condition)
+            measured.clear()
+            path = trace_path(alpha, n)
+            assert len(measured) == 1 and measured[0] is alpha.matrix
+            end = path.samples[-1].ortho_defect
+            assert np.float64(end).tobytes() == np.float64(homotopy._factor(alpha)[2]).tobytes()
 
     def test_frame_source_has_orthonormal_interior(self):
         rng = np.random.default_rng(51)
@@ -704,7 +724,7 @@ class TestStackedStep:
         # an estimate from the step; every estimate, stored or read, is its
         # own triangle's.
         alpha = conditioned_injective(np.random.default_rng(58), 24, 12, 1e8)
-        frame, r = homotopy._factor(alpha)
+        frame, r, _ = homotopy._factor(alpha)
         points, triangles, grams = homotopy._step(alpha, include_frame(frame), r, (1e-9, 0.5))
         declined = (~homotopy._certified(grams)).tolist()
         assert declined == [True, False]
@@ -733,11 +753,50 @@ class TestStackedStep:
             assert copy.condition_estimate == eager.condition_estimate
 
 
+def _fixed_frame(d):
+    """The Q of the QR of a (d + 3) x d Gaussian seeded with d."""
+    return np.linalg.qr(np.random.default_rng(d).standard_normal((d + 3, d)))[0]
+
+
+def _bisected(make, lo, hi, level=9e5):
+    """The largest p in [lo, hi] found by bisection with kappa(make(p)) below
+    ``level``, for a family whose condition grows with p."""
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if np.linalg.cond(make(mid)) < level:
+            lo = mid
+        else:
+            hi = mid
+    return make(lo)
+
+
+def _shift_family():
+    """Q @ R with R = (I - aN)^-1, N the d x d upper shift, so r_ij = a^(j - i)
+    above the diagonal, and a bisected to kappa(R) = 9e5. R^-1 is
+    bidiagonal, its large terms cancelled, which the shift (1 - t) R + t I
+    breaks: the path's triangles are far worse conditioned than R."""
+    for d in (4, 6, 10, 16, 30, 64):
+        powers = np.arange(d) - np.arange(d)[:, None]
+        yield _fixed_frame(d) @ _bisected(lambda a: np.triu(a ** powers), 1.0, 1e3)
+
+
+def _kahan_family():
+    """Q @ K with K the Kahan triangle of cos(theta) = c, bisected to
+    kappa(K) = 9e5."""
+    for d in (4, 6, 10, 16, 30, 64):
+
+        def kahan(c):
+            upper = np.eye(d) - c * np.triu(np.ones((d, d)), 1)
+            return math.sqrt(1.0 - c * c) ** np.arange(d)[:, None] * upper
+
+        yield _fixed_frame(d) @ _bisected(kahan, 0.0, 1.0)
+
+
 def _bound_gallery():
     """Hard cases for the step's certificate: Läuchli matrices near
     condition 9e5, Kahan triangles, orthogonal columns graded by 2^k (R is
     diagonal), conditioned maps and those maps with columns scaled by
-    2^(±900 + j), |j| <= 2."""
+    2^(±900 + j), |j| <= 2, and the shift family."""
     for n in (2, 10, 25, 40):
         eps = math.sqrt(n + 1) / 9e5
         yield np.vstack([np.ones((1, n)), eps * np.eye(n)])
@@ -753,6 +812,7 @@ def _bound_gallery():
         yield base
         for sign in (1, -1):
             yield np.ldexp(base, sign * 900 + rng.integers(-2, 3, size=12))
+    yield from _shift_family()
 
 
 def _eigenvalue_bound_certifies(r, times):
@@ -772,7 +832,7 @@ def test_cholesky_certificate_is_sound_on_the_gallery():
     counts = []
     for raw in _bound_gallery():
         alpha = validate_injective(raw)
-        _, r = homotopy._factor(alpha)
+        _, r, _ = homotopy._factor(alpha)
         d = len(r)
         triangles = (1.0 - inner[:, None, None]) * r + inner[:, None, None] * np.eye(d)
         certified = homotopy._certified(gram(triangles))
@@ -792,6 +852,42 @@ def test_cholesky_certificate_is_sound_on_the_gallery():
             assert not certified.any()
         counts.append((int(certified.sum()), int(eigen.sum())))
     assert sum(c for c, _ in counts) > sum(e for _, e in counts) > 0
+
+
+def test_path_condition_stays_a_decade_below_the_rank_rule():
+    # Inputs inside the 1e6 guarantee whose paths are the worst known: the
+    # shift family's interior reaches up to about 270 times kappa(R). Every
+    # path returns, and its largest interior estimate stays at most 1e9,
+    # one decade below the 1e10 rank rule.
+    for raw in (*_shift_family(), *_kahan_family()):
+        alpha = validate_injective(raw)
+        assert 8.9e5 < alpha.condition_estimate <= 1e6
+        worst = max(s.point.condition_estimate for s in trace_path(alpha, 101).samples[1:-1])
+        assert worst <= 1e9
+
+
+def test_past_the_guarantee_an_accepted_path_can_fail_the_rank_rule():
+    # d = 3, a = 1000: validation accepts condition 1.0e9, and the interior
+    # reaches 1.5e11 at t = 1/3, past the rank rule. The path keeps raising
+    # InternalRankLossError there, at its first failing sample.
+    powers = np.arange(3) - np.arange(3)[:, None]
+    alpha = validate_injective(_fixed_frame(3) @ np.triu(1000.0**powers))
+    assert 1e9 < alpha.condition_estimate < 1.1e9
+    with pytest.raises(InternalRankLossError, match=r"t=0\.02 failed revalidation"):
+        trace_path(alpha, 101)
+    with pytest.raises(InternalRankLossError, match=r"t=0\.333333 "):
+        homotopy_step(alpha, 1 / 3)
+
+
+def test_coefficient_matrix_meets_its_residual_bound_with_a_decade_to_spare():
+    # README: max|alpha @ M - frame| <= 10 eps kappa, kappa the condition
+    # estimate; on the gallery it stays below a tenth of that.
+    eps = np.finfo(float).eps
+    for raw in (*_bound_gallery(), *_kahan_family()):
+        alpha = validate_injective(raw)
+        result = orthonormalize(alpha)
+        residual = alpha.matrix @ result.coefficient_matrix.matrix - result.frame.matrix
+        assert max_abs(residual) <= eps * alpha.condition_estimate
 
 
 def test_cholesky_certificate_declines_triangles_just_below_its_level():
